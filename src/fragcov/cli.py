@@ -91,20 +91,19 @@ def _load_patched(args) -> PatchedCovariance:
 
 def _cmd_complete(args) -> int:
     patched = _load_patched(args)
+    if args.rank != "auto":
+        rank_policy = f"fixed:{int(args.rank)}"
+    elif args.tau is not None:
+        rank_policy = f"penalty:{args.tau}"
+    else:
+        rank_policy = "elbow"
     cfg = SolveConfig(
         max_rank_sweep=args.max_rank,
-        rank_policy="elbow" if args.rank == "auto" else f"fixed:{int(args.rank)}",
+        rank_policy=rank_policy,
         elbow_threshold=args.elbow_eps,
         tau=args.tau,
         seed=args.seed,
     )
-    if args.rank == "auto" and args.tau is not None:
-        cfg = SolveConfig(
-            max_rank_sweep=args.max_rank,
-            rank_policy=f"penalty:{args.tau}",
-            tau=args.tau,
-            seed=args.seed,
-        )
     estimate = estimate_covariance(patched, cfg)
     _write_matrix(args.out, estimate.matrix.values)
     if args.scree_out:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from ._backend import masked_objective_grad, prepare_mask
 from .core import BandMask, SeedLike, SymMatrix, as_generator, matrix_values
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
     "RankSweepResult",
     "StepKernel",
     "CovarianceEstimate",
+    "masked_objective_grad",
     "objective",
     "gradient",
     "solve_fixed_rank",
@@ -105,17 +105,33 @@ def _factor_values(gamma) -> np.ndarray:
     return np.ascontiguousarray(gamma, dtype=float)
 
 
+def masked_objective_grad(gamma, target, mask):
+    """Fused value and gradient of the masked factorized fit.
+
+    value = K^-2 * sum_mask (gamma gamma^T - target)^2
+    grad  = 4 K^-2 * (mask o (gamma gamma^T - target)) gamma
+
+    mask is the K x K boolean inclusion array of a BandMask.
+    """
+    K = gamma.shape[0]
+    residual = (gamma @ gamma.T - target) * mask
+    inv = 1.0 / (K * K)
+    value = inv * float(np.vdot(residual, residual))
+    grad = (4.0 * inv) * (residual @ gamma)
+    return value, grad
+
+
 def objective(gamma, target, mask: BandMask) -> float:
     """Masked squared Frobenius misfit of gamma gamma^T, scaled by K^-2."""
     g = _factor_values(gamma)
-    value, _ = masked_objective_grad(g, _target_values(target), prepare_mask(mask.include))
+    value, _ = masked_objective_grad(g, _target_values(target), mask.include)
     return value
 
 
 def gradient(gamma, target, mask: BandMask) -> np.ndarray:
     """Exact gradient of the objective in gamma: 4 K^-2 (mask o (gamma gamma^T - target)) gamma."""
     g = _factor_values(gamma)
-    _, grad = masked_objective_grad(g, _target_values(target), prepare_mask(mask.include))
+    _, grad = masked_objective_grad(g, _target_values(target), mask.include)
     return grad
 
 
@@ -131,11 +147,11 @@ def _eigen_init(target: np.ndarray, rank: int) -> np.ndarray:
     return vecs[:, order] * np.sqrt(lam)
 
 
-def _descend(x0: np.ndarray, shape, target, mask_u8, gtol: float, max_iter: int, method: str = "lbfgs"):
+def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str = "lbfgs"):
     K, r = shape
 
     def fun(x):
-        value, grad = masked_objective_grad(x.reshape(K, r), target, mask_u8)
+        value, grad = masked_objective_grad(x.reshape(K, r), target, include)
         return value, grad.ravel()
 
     if method == "bfgs":
@@ -148,13 +164,13 @@ def _descend(x0: np.ndarray, shape, target, mask_u8, gtol: float, max_iter: int,
             method="L-BFGS-B",
             options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20},
         )
-        res = _newton_polish(res, fun, shape, target, mask_u8)
+        res = _newton_polish(res, fun, shape, target, include)
     if not np.isfinite(res.fun):
         raise CompletionError("diverged: non-finite objective during descent")
     return res.x.reshape(K, r), float(res.fun)
 
 
-def _newton_polish(res, fun, shape, target, mask_u8):
+def _newton_polish(res, fun, shape, target, include):
     """Second-order cleanup after quasi-Newton descent.
 
     Badly scaled spectra (a component orders of magnitude below the
@@ -163,7 +179,6 @@ def _newton_polish(res, fun, shape, target, mask_u8):
     products reach it. Keeps whichever result is better.
     """
     K, r = shape
-    include = mask_u8.astype(bool)
 
     def hessp(x, d):
         gamma = x.reshape(K, r)
@@ -211,7 +226,6 @@ def solve_fixed_rank(
     if mask.K != K:
         raise ValueError("mask dimension must match the target")
     rng = as_generator(config.seed if rng is None else rng)
-    mask_u8 = prepare_mask(mask.include)
 
     start = _eigen_init(tvals, rank) if gamma0 is None else np.array(gamma0, dtype=float)
     if start.shape != (K, rank):
@@ -226,12 +240,12 @@ def solve_fixed_rank(
         start[:, dead] = 1e-6 * scale * rng.standard_normal((K, int(dead.sum())))
 
     gtol = config.gtol(K)
-    best_gamma, best_fit = _descend(start.ravel(), (K, rank), tvals, mask_u8, gtol, config.max_iter, config.method)
+    best_gamma, best_fit = _descend(start.ravel(), (K, rank), tvals, mask.include, gtol, config.max_iter, config.method)
     # restart jitter must be large enough to leave a spurious basin of the
     # factorized landscape, yet small against the factor scale
     for _ in range(config.restarts - 1):
         jittered = start + 0.25 * scale * rng.standard_normal(start.shape)
-        g, fit = _descend(jittered.ravel(), (K, rank), tvals, mask_u8, gtol, config.max_iter, config.method)
+        g, fit = _descend(jittered.ravel(), (K, rank), tvals, mask.include, gtol, config.max_iter, config.method)
         if fit < best_fit:
             best_gamma, best_fit = g, fit
     return LowRankFactor(best_gamma), best_fit

@@ -9,6 +9,7 @@ scheduling cannot change any result.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import warnings
@@ -34,7 +35,7 @@ from .simulate import (
     sample_gp,
     stage_rng,
 )
-from .patch import effective_mask, patched_binned, patched_regular
+from .patch import FIXED_DELTA_MARGIN, effective_mask, patched_binned, patched_regular
 from .complete import SolveConfig, estimate_covariance
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "table_cells",
     "ingest_fragments",
     "scree_report",
-    "empirical_relative_error",
     "five_number_summary",
     "results_to_csv",
     "format_table",
@@ -85,7 +85,7 @@ class ExperimentConfig:
         if self.delta_prime is not None:
             return self.delta_prime
         lo, hi = float(self.delta[0]), float(self.delta[1])
-        return lo - 0.1 if lo == hi else lo
+        return lo - FIXED_DELTA_MARGIN if lo == hi else lo
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -363,21 +363,13 @@ def format_table(results: list[ExperimentResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def empirical_relative_error(estimate, reference) -> float:
-    """Relative Frobenius error (percent) against an empirical reference.
-
-    Same formula as relative_error, for workflows where the truth is unknown
-    and the fully observed empirical covariance serves as the benchmark.
-    """
-    return relative_error(estimate, reference)
-
-
 def ingest_fragments(path, sidecar=None) -> FragmentSample:
     """Read a fragment CSV (header curve_id,t,value) into a FragmentSample.
 
     Intervals come from the JSON sidecar when present (default: same path
     with .json suffix), else are inferred as [min t, max t] per curve.
-    Curves with fewer than two points are dropped with a warning.
+    Curves with fewer than two points are dropped with a warning. A row with
+    t outside [0, 1] or a non-finite value is rejected with its path:line.
     """
     path = Path(path)
     by_curve: dict[str, list[tuple[float, float]]] = {}
@@ -399,6 +391,8 @@ def ingest_fragments(path, sidecar=None) -> FragmentSample:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"{path}:{lineno}: t={t} outside [0, 1]")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: non-finite value {v_str!r}")
             by_curve.setdefault(cid, []).append((t, v))
 
     meta = None
@@ -406,18 +400,18 @@ def ingest_fragments(path, sidecar=None) -> FragmentSample:
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())
 
-    ids, times, values = [], [], []
-    for cid, rows in by_curve.items():
+    ids, kept, times, values = [], [], [], []
+    for i, (cid, rows) in enumerate(by_curve.items()):
         if len(rows) < 2:
             warnings.warn(f"curve {cid!r} has fewer than 2 points; dropped")
             continue
         rows.sort(key=lambda r: r[0])
         ids.append(cid)
+        kept.append(i)
         times.append(np.array([r[0] for r in rows]))
         values.append(np.array([r[1] for r in rows]))
 
     if meta and len(meta.get("intervals", ())) == len(by_curve):
-        kept = [i for i, cid in enumerate(by_curve) if cid in set(ids)]
         intervals = np.array(
             [[meta["intervals"][i]["start"], meta["intervals"][i]["delta"]] for i in kept]
         )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragcov import (
     CompletionError,
@@ -13,6 +15,7 @@ from fragcov import (
     evaluate_on_grid,
     exact_band_completion,
     gradient,
+    masked_frobenius_sq,
     objective,
     rank_sweep,
     scenario_kernel,
@@ -92,6 +95,20 @@ class TestObjectiveGradient:
             numeric = (fp - fm) / (2 * h)
             analytic = float(np.vdot(gradient(gamma, target, mask), direction))
             assert numeric == pytest.approx(analytic, rel=1e-5, abs=1e-12)
+
+    @given(K=st.integers(3, 40), r=st.integers(1, 6), d=st.floats(0.3, 0.95), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_masked_frobenius_of_product(self, K, r, d, seed):
+        try:
+            mask = band_mask(K, d)
+        except ValueError:
+            return
+        rng = np.random.default_rng(seed)
+        gamma = rng.standard_normal((K, r))
+        target = rng.standard_normal((K, K))
+        target = target + target.T
+        expected = masked_frobenius_sq(gamma @ gamma.T, target, mask)
+        assert objective(gamma, target, mask) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class TestSolveFixedRank:

@@ -7,7 +7,6 @@ from fragcov import (
     ExperimentConfig,
     FragmentLaw,
     SolveConfig,
-    empirical_relative_error,
     fragment_irregular,
     ingest_fragments,
     run_cell,
@@ -155,6 +154,21 @@ class TestIngest:
         assert sample.n == 1
         assert sample.curve_ids == ("a",)
 
+    def test_short_curve_dropped_with_sidecar(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(
+            "curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nc,0.7,4.0\nc,0.9,5.0\n"
+        )
+        intervals = [{"start": 0.05, "delta": 0.3}, {"start": 0.4, "delta": 0.2}, {"start": 0.6, "delta": 0.35}]
+        sidecar = {"n": 3, "grid_type": "type1", "noise_sd": 0.5, "intervals": intervals}
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.warns(UserWarning, match="fewer than 2"):
+            sample = ingest_fragments(path)
+        assert sample.curve_ids == ("a", "c")
+        assert np.array_equal(sample.intervals, [[0.05, 0.3], [0.6, 0.35]])
+        assert sample.grid_type == "type1"
+        assert sample.noise_sd == 0.5
+
     def test_unsorted_rows_sorted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("curve_id,t,value\na,0.9,9.0\na,0.1,1.0\na,0.5,5.0\n")
@@ -164,9 +178,10 @@ class TestIngest:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text("curve_id,t,value\na,0.1,1.0\na,not-a-number,2.0\n")
-        with pytest.raises(ValueError, match=":3"):
-            ingest_fragments(path)
+        for bad in ("a,not-a-number,2.0", "a,0.2,nan", "a,0.2,inf", "a,0.2,-inf"):
+            path.write_text(f"curve_id,t,value\na,0.1,1.0\n{bad}\n")
+            with pytest.raises(ValueError, match=":3"):
+                ingest_fragments(path)
 
     def test_out_of_domain_time(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -190,13 +205,6 @@ class TestScreeReport:
         assert [r[0] for r in rows] == [1, 2, 3, 4]
         assert rows[0][2] <= 1.0 + 1e-12
         assert all(rows[i][1] >= rows[i + 1][1] - 1e-10 for i in range(3))
-
-
-class TestEmpiricalRelativeError:
-    def test_trivial_values(self):
-        ref = np.eye(4) * 2
-        assert empirical_relative_error(ref, ref) == 0.0
-        assert empirical_relative_error(np.zeros((4, 4)), ref) == pytest.approx(100.0)
 
 
 def test_worker_count_env_override(monkeypatch):
