@@ -37,14 +37,29 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def _read_matrix(path) -> np.ndarray:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in Path(path).read_text().strip().splitlines()
-    ]
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry in {line!r}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(rows[-1])} entries, expected {len(rows[0])}")
     return np.array(rows)
 
 
+def _scree_csv(sweep) -> str:
+    lines = ["rank,fit,normalized_fit"]
+    for i in range(sweep.max_rank):
+        lines.append(f"{i + 1},{float(sweep.fits[i])!r},{float(sweep.normalized_fits[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_simulate(args) -> int:
+    if len(args.delta) > 2:
+        raise ValueError(f"--delta takes one length or a min,max pair, got {args.delta}")
     law = FragmentLaw(args.delta[0], args.delta[-1])
     kernel = kernel_from_id(args.kernel)
     if args.grid_type == "common":
@@ -96,42 +111,25 @@ def _cmd_complete(args) -> int:
     elif args.tau is not None:
         rank_policy = f"penalty:{args.tau}"
     else:
-        rank_policy = "elbow"
-    cfg = SolveConfig(
-        max_rank_sweep=args.max_rank,
-        rank_policy=rank_policy,
-        elbow_threshold=args.elbow_eps,
-        tau=args.tau,
-        seed=args.seed,
-    )
+        rank_policy = f"elbow:{args.elbow_eps}"
+    cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
     estimate = estimate_covariance(patched, cfg)
     _write_matrix(args.out, estimate.matrix.values)
     if args.scree_out:
-        sweep = estimate.sweep
-        if sweep is None:
-            mask = effective_mask(patched, args.delta_prime)
-            sweep = rank_sweep(patched, mask, cfg)
-        lines = ["rank,fit,normalized_fit"]
-        for i in range(sweep.max_rank):
-            lines.append(f"{i + 1},{sweep.fits[i]!r},{sweep.normalized_fits[i]!r}")
-        Path(args.scree_out).write_text("\n".join(lines) + "\n")
+        sweep = estimate.sweep or rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg)
+        Path(args.scree_out).write_text(_scree_csv(sweep))
     print(f"completed at rank {estimate.rank} (fit {estimate.fit:.3e}) -> {args.out}")
     return 0
 
 
 def _cmd_scree(args) -> int:
     patched = _load_patched(args)
-    rows = harness.scree_report(
-        patched, SolveConfig(max_rank_sweep=args.max_rank, seed=args.seed), args.delta_prime
-    )
-    lines = ["rank,fit,normalized_fit"]
-    for rank, fit, norm in rows:
-        lines.append(f"{rank},{fit!r},{norm!r}")
-    out = Path(args.out) if args.out else None
-    if out:
-        out.write_text("\n".join(lines) + "\n")
+    cfg = SolveConfig(max_rank_sweep=args.max_rank, seed=args.seed)
+    text = _scree_csv(rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg))
+    if args.out:
+        Path(args.out).write_text(text)
     else:
-        print("\n".join(lines))
+        print(text, end="")
     return 0
 
 

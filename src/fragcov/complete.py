@@ -58,10 +58,7 @@ class SolveConfig:
     max_iter: int = 2000
     restarts: int = 1
     method: str = "lbfgs"
-    check_trace_bound: bool = False
     rank_policy: str = "elbow"
-    elbow_threshold: float = 0.01
-    tau: float | None = None
     seed: int = 0
 
     def gtol(self, K: int) -> float:
@@ -301,22 +298,22 @@ def rank_sweep(target, mask: BandMask, config: SolveConfig | None = None) -> Ran
     return RankSweepResult(fits=fits, normalized_fits=normalized, factors=tuple(factors), base_fit=base_fit)
 
 
-def parse_rank_policy(policy) -> tuple[str, float | None]:
-    """Parse 'fixed:q', 'elbow[:eps]' or 'penalty:tau' (tuples pass through)."""
-    if isinstance(policy, tuple):
-        return policy
+def parse_rank_policy(policy: str) -> tuple[str, float]:
+    """Parse 'fixed:q', 'elbow[:eps]' (eps defaults to 0.01) or 'penalty:tau'."""
     name, _, arg = str(policy).partition(":")
     name = name.lower()
     if name == "fixed":
         return "fixed", int(arg)
     if name == "elbow":
-        return "elbow", float(arg) if arg else None
+        return "elbow", float(arg) if arg else 0.01
     if name == "penalty":
-        return "penalty", float(arg) if arg else None
+        if not arg:
+            raise ValueError("penalty policy needs a tau value, as in 'penalty:0.001'")
+        return "penalty", float(arg)
     raise ValueError(f"unknown rank policy {policy!r}")
 
 
-def select_rank(sweep: RankSweepResult, policy="elbow") -> int:
+def select_rank(sweep: RankSweepResult, policy: str = "elbow") -> int:
     """Pick a rank from a sweep.
 
     fixed:q returns q; elbow:eps returns the smallest rank whose normalized
@@ -327,18 +324,13 @@ def select_rank(sweep: RankSweepResult, policy="elbow") -> int:
     if kind == "fixed":
         return int(value)
     if kind == "elbow":
-        eps = 0.01 if value is None else value
-        hits = np.nonzero(sweep.normalized_fits < eps)[0]
+        hits = np.nonzero(sweep.normalized_fits < value)[0]
         if hits.size:
             return int(hits[0]) + 1
         warnings.warn("elbow threshold never met; falling back to the maximal sweep rank")
         return sweep.max_rank
-    if kind == "penalty":
-        if value is None:
-            raise ValueError("penalty policy needs a tau value")
-        ranks = np.arange(1, sweep.max_rank + 1)
-        return int(ranks[np.argmin(sweep.fits + value * ranks)])
-    raise ValueError(f"unknown rank policy kind {kind!r}")
+    ranks = np.arange(1, sweep.max_rank + 1)
+    return int(ranks[np.argmin(sweep.fits + value * ranks)])
 
 
 @dataclass(frozen=True)
@@ -398,17 +390,11 @@ def estimate_covariance(
         factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
     else:
         sweep = rank_sweep(tvals, mask, config)
-        policy = (kind, value if value is not None else (config.tau if kind == "penalty" else config.elbow_threshold))
-        rank = select_rank(sweep, policy)
+        rank = select_rank(sweep, config.rank_policy)
         factor = sweep.factors[rank - 1]
         fit = float(sweep.fits[rank - 1])
 
-    completed = factor.matrix()
-    if config.check_trace_bound:
-        budget = float(np.trace(tvals))
-        if np.trace(completed) > 1.1 * budget:
-            warnings.warn("completed matrix exceeds the trace of its banded target by more than 10%")
-    matrix = SymMatrix(completed)
+    matrix = SymMatrix(factor.matrix())
     return CovarianceEstimate(
         matrix=matrix,
         rank=rank,

@@ -14,7 +14,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .simulate import (
     sample_gp,
     stage_rng,
 )
-from .patch import FIXED_DELTA_MARGIN, effective_mask, patched_binned, patched_regular
+from .patch import effective_mask, patched_binned, patched_regular, trusted_delta_prime
 from .complete import SolveConfig, estimate_covariance
 
 __all__ = [
@@ -70,8 +70,6 @@ class ExperimentConfig:
     rank_policy: str = "elbow"
     replications: int = 100
     seed: int = 0
-    midpoint_grid: bool = False
-    placement: str = "clipped_center"
     # Table protocol: a dense quasi-Newton with a conventional iteration
     # budget; the library-level SolveConfig default runs much deeper.
     solve: SolveConfig = field(
@@ -79,25 +77,31 @@ class ExperimentConfig:
     )
 
     def law(self) -> FragmentLaw:
-        return FragmentLaw(float(self.delta[0]), float(self.delta[1]), self.placement)
+        return FragmentLaw(float(self.delta[0]), float(self.delta[1]))
 
     def resolved_delta_prime(self) -> float:
+        """delta_prime, else the delta' rule applied to the law's length range."""
         if self.delta_prime is not None:
             return self.delta_prime
-        lo, hi = float(self.delta[0]), float(self.delta[1])
-        return lo - FIXED_DELTA_MARGIN if lo == hi else lo
+        dp = trusted_delta_prime(self.delta)
+        if dp is None:
+            raise ValueError(f"fragment lengths {self.delta} leave no trusted band")
+        return dp
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["delta"] = list(self.delta)
-        return json.dumps(payload, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Inverse of to_json; a key that names no field raises ValueError."""
         payload = json.loads(text)
+        solve = payload.pop("solve", None)
+        for kind, keys in ((cls, payload), (SolveConfig, solve or {})):
+            unknown = sorted(set(keys) - {f.name for f in fields(kind)})
+            if unknown:
+                raise ValueError(f"unknown {kind.__name__} keys: {', '.join(unknown)}")
         if "delta" in payload:
             payload["delta"] = tuple(payload["delta"])
-        solve = payload.pop("solve", None)
         cfg = cls(**payload)
         if solve:
             cfg = replace(cfg, solve=SolveConfig(**solve))
@@ -144,11 +148,10 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     rep_seed = np.random.SeedSequence(config.seed, spawn_key=(rep,))
     law = config.law()
     solve_rng = stage_rng(rep_seed, STAGE_SOLVER)
-    solve_cfg = config.solve
 
     if config.grid_type == "common":
         K = config.K or 50
-        grid = Grid.regular(K) if config.midpoint_grid else Grid.perturbed(K, stage_rng(rep_seed, STAGE_GRID))
+        grid = Grid.perturbed(K, stage_rng(rep_seed, STAGE_GRID))
         truth = evaluate_on_grid(kernel, grid)
         paths = sample_gp(truth, config.n, stage_rng(rep_seed, STAGE_PATHS))
         sample = fragment(paths, grid, law, stage_rng(rep_seed, STAGE_INTERVALS))
@@ -179,7 +182,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     # data support: corner pairs can be unobserved under random grids and
     # uniform starts, and the zero-filled target handles them.
     mask = band_mask(K, config.resolved_delta_prime(), exclude_diagonal=patched.noise_flag)
-    estimate = estimate_covariance(patched, replace(solve_cfg, rank_policy=config.rank_policy), mask=mask, rng=solve_rng)
+    estimate = estimate_covariance(patched, replace(config.solve, rank_policy=config.rank_policy), mask=mask, rng=solve_rng)
     return relative_error(estimate.matrix, truth), K
 
 
@@ -229,10 +232,6 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     )
 
 
-def _fixed(q: int) -> str:
-    return f"fixed:{q}"
-
-
 def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[ExperimentConfig]:
     """Enumerate the cell grid of a built-in benchmark table (stable order)."""
     table = table.upper()
@@ -247,9 +246,7 @@ def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[Expe
                         ExperimentConfig(
                             kernel=f"scenario{scenario}:{q}",
                             delta=(d, d),
-                            rank_policy=_fixed(q),
-                            replications=replications,
-                            seed=seed,
+                            rank_policy=f"fixed:{q}",
                         )
                     )
     elif table == "T4":
@@ -262,9 +259,7 @@ def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[Expe
                             ExperimentConfig(
                                 kernel=kid,
                                 delta=(d, d),
-                                rank_policy=_fixed(2),
-                                replications=replications,
-                                seed=seed,
+                                rank_policy="fixed:2",
                             )
                         )
     elif table in ("T5", "T6"):
@@ -281,9 +276,7 @@ def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[Expe
                                 delta=d,
                                 grid_type=grid_type,
                                 noise_sd=noise,
-                                rank_policy=_fixed(q),
-                                replications=replications,
-                                seed=seed,
+                                rank_policy=f"fixed:{q}",
                             )
                         )
     elif table == "T7":
@@ -295,14 +288,12 @@ def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[Expe
                             kernel=f"scenarioA:{q}",
                             K=K,
                             delta=(d, d),
-                            rank_policy=_fixed(q),
-                            replications=replications,
-                            seed=seed,
+                            rank_policy=f"fixed:{q}",
                         )
                     )
     else:
         raise ValueError(f"unknown table {table!r}; expected one of {TABLE_IDS}")
-    return cells
+    return [replace(c, replications=replications, seed=seed) for c in cells]
 
 
 def run_table(
@@ -367,12 +358,14 @@ def ingest_fragments(path, sidecar=None) -> FragmentSample:
     """Read a fragment CSV (header curve_id,t,value) into a FragmentSample.
 
     Intervals come from the JSON sidecar when present (default: same path
-    with .json suffix), else are inferred as [min t, max t] per curve.
-    Curves with fewer than two points are dropped with a warning. A row with
-    t outside [0, 1] or a non-finite value is rejected with its path:line.
+    with .json suffix), matched by curve_id, or by order of first appearance
+    if the sidecar has no ids and one interval per curve; else they are
+    inferred as [min t, max t] per curve. Curves with fewer than two points
+    are dropped with a warning. A row with t outside [0, 1], a non-finite
+    value or a t repeated within its curve is rejected with its path:line.
     """
     path = Path(path)
-    by_curve: dict[str, list[tuple[float, float]]] = {}
+    by_curve: dict[str, dict[float, float]] = {}
     with path.open() as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "curve_id,t,value":
@@ -393,28 +386,38 @@ def ingest_fragments(path, sidecar=None) -> FragmentSample:
                 raise ValueError(f"{path}:{lineno}: t={t} outside [0, 1]")
             if not math.isfinite(v):
                 raise ValueError(f"{path}:{lineno}: non-finite value {v_str!r}")
-            by_curve.setdefault(cid, []).append((t, v))
+            rows = by_curve.setdefault(cid, {})
+            if t in rows:
+                raise ValueError(f"{path}:{lineno}: curve {cid!r} repeats t={t}")
+            rows[t] = v
 
     meta = None
     sidecar_path = Path(sidecar) if sidecar else path.with_suffix(".json")
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())
 
-    ids, kept, times, values = [], [], [], []
-    for i, (cid, rows) in enumerate(by_curve.items()):
+    ids, times, values = [], [], []
+    for cid, rows in by_curve.items():
         if len(rows) < 2:
             warnings.warn(f"curve {cid!r} has fewer than 2 points; dropped")
             continue
-        rows.sort(key=lambda r: r[0])
+        ts = sorted(rows)
         ids.append(cid)
-        kept.append(i)
-        times.append(np.array([r[0] for r in rows]))
-        values.append(np.array([r[1] for r in rows]))
+        times.append(np.array(ts))
+        values.append(np.array([rows[t] for t in ts]))
 
-    if meta and len(meta.get("intervals", ())) == len(by_curve):
-        intervals = np.array(
-            [[meta["intervals"][i]["start"], meta["intervals"][i]["delta"]] for i in kept]
-        )
+    entries = meta.get("intervals", []) if meta else []
+    if entries and all("curve_id" in e for e in entries):
+        by_id = {str(e["curve_id"]): e for e in entries}
+    elif meta and len(entries) == len(by_curve):
+        by_id = dict(zip(by_curve, entries))
+    else:
+        by_id = None
+    if by_id is not None:
+        missing = [cid for cid in ids if cid not in by_id]
+        if missing:
+            raise ValueError(f"{sidecar_path}: no interval for curve {missing[0]!r}")
+        intervals = np.array([[by_id[cid]["start"], by_id[cid]["delta"]] for cid in ids])
         grid_type = meta.get("grid_type", "type2")
         noise_sd = float(meta.get("noise_sd", 0.0))
     else:

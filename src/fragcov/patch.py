@@ -21,11 +21,9 @@ __all__ = [
     "patched_binned",
     "effective_mask",
     "default_delta_prime",
+    "trusted_delta_prime",
 ]
 
-# Reliable-band policy: with a fixed fragment length delta the estimator is
-# trusted on a band narrower by 0.1; with variable lengths, on the band of
-# the shortest fragments.
 FIXED_DELTA_MARGIN = 0.1
 
 
@@ -70,14 +68,22 @@ def _pairwise_completed(value_rows: np.ndarray, avail_rows: np.ndarray):
     return entries, counts
 
 
-def default_delta_prime(sample: FragmentSample) -> float | None:
-    deltas = sample.intervals[:, 1]
-    if deltas.size == 0:
+def trusted_delta_prime(lengths) -> float | None:
+    """The delta' rule: fragments of one length delta are trusted on the band
+    delta - FIXED_DELTA_MARGIN (None if not positive), fragments of variable
+    lengths on the band of the shortest one. None for no fragments."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.size == 0:
         return None
-    if np.ptp(deltas) <= 1e-12:
-        dp = float(deltas[0]) - FIXED_DELTA_MARGIN
+    if np.ptp(lengths) <= 1e-12:
+        dp = float(lengths[0]) - FIXED_DELTA_MARGIN
         return dp if dp > 0 else None
-    return float(deltas.min())
+    return float(lengths.min())
+
+
+def default_delta_prime(sample: FragmentSample) -> float | None:
+    """Trusted band of a sample, from its realized fragment lengths."""
+    return trusted_delta_prime(sample.intervals[:, 1])
 
 
 def patched_regular(sample: FragmentSample, K: int | None = None) -> PatchedCovariance:

@@ -275,7 +275,8 @@ def add_noise(sample: FragmentSample, noise_sd: float, seed: SeedLike = None) ->
 
 
 def write_fragments(sample: FragmentSample, path) -> None:
-    """Write a sample as CSV rows curve_id,t,value plus a JSON sidecar."""
+    """Write a sample as CSV rows curve_id,t,value plus a JSON sidecar whose
+    intervals carry the curve_id of the rows they belong to."""
     path = Path(path)
     lines = ["curve_id,t,value"]
     for cid, t, v in zip(sample.curve_ids, sample.times, sample.values):
@@ -286,6 +287,9 @@ def write_fragments(sample: FragmentSample, path) -> None:
         "n": sample.n,
         "grid_type": sample.grid_type,
         "noise_sd": sample.noise_sd,
-        "intervals": [{"start": float(s), "delta": float(d)} for s, d in sample.intervals],
+        "intervals": [
+            {"curve_id": str(cid), "start": float(s), "delta": float(d)}
+            for cid, (s, d) in zip(sample.curve_ids, sample.intervals)
+        ],
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1) + "\n")

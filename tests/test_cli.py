@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fragcov.cli import main
-from fragcov import CompletionError
+from fragcov import CompletionError, select_rank
+from fragcov.complete import RankSweepResult
 
 
 def _read_matrix(path):
@@ -68,6 +69,49 @@ class TestPipeline:
                      "--max-rank", "3", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("rank", ["2", "auto"])
+    def test_complete_scree_out_matches_scree(self, pipeline_files, tmp_path, rank):
+        _, patched, counts = pipeline_files
+        inputs = ["--input", str(patched), "--counts", str(counts), "--max-rank", "3", "--seed", "5"]
+        assert main(["complete", *inputs, "--rank", rank, "--out", str(tmp_path / "c.csv"),
+                     "--scree-out", str(tmp_path / "a.csv")]) == 0
+        assert main(["scree", *inputs, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        fits = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
+        assert fits.shape == (3, 3)
+
+    # the flag values select a rank other than the default elbow's on this input
+    @pytest.mark.parametrize("flag, value, policy", [("--tau", "0.0002", "penalty:0.0002"),
+                                                     ("--elbow-eps", "0.05", "elbow:0.05")])
+    def test_auto_rank_flags_select_as_policy(self, pipeline_files, tmp_path, capsys, flag, value, policy):
+        _, patched, counts = pipeline_files
+        scree = tmp_path / "fits.csv"
+        assert main(["complete", "--input", str(patched), "--counts", str(counts), "--rank", "auto",
+                     "--max-rank", "4", flag, value, "--out", str(tmp_path / "c.csv"), "--scree-out", str(scree)]) == 0
+        rank = int(capsys.readouterr().out.split("completed at rank ")[1].split()[0])
+        table = np.loadtxt(scree, delimiter=",", skiprows=1)
+        sweep = RankSweepResult(fits=table[:, 1], normalized_fits=table[:, 2], factors=(), base_fit=1.0)
+        assert rank == select_rank(sweep, policy)
+        assert rank != select_rank(sweep, "elbow")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("which", ["input", "counts"])
+    @pytest.mark.parametrize("row", ["0.5,oops", "0.5"])
+    def test_matrix_row_reports_line(self, tmp_path, which, row):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("1.0,0.5\n0.5,1.0\n")
+        bad.write_text(f"1.0,0.5\n{row}\n")
+        files = {"input": good, "counts": good, which: bad}
+        with pytest.raises(ValueError, match="bad.csv:2"):
+            main(["complete", "--input", str(files["input"]), "--counts", str(files["counts"]),
+                  "--rank", "1", "--out", str(tmp_path / "o.csv")])
+
+    def test_simulate_rejects_three_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match="--delta"):
+            main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
+                  "--out", str(tmp_path / "s.csv")])
 
 
 class TestRunCommand:

@@ -245,6 +245,17 @@ class TestEstimateCovariance:
         with pytest.raises(ValueError):
             estimate_covariance(np.eye(5), SolveConfig())
 
+    def test_penalty_without_tau_fails_before_the_sweep(self, monkeypatch):
+        import fragcov.complete as complete
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("rank_sweep ran before the policy was checked")
+
+        monkeypatch.setattr(complete, "rank_sweep", no_sweep)
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=12)
+        with pytest.raises(ValueError, match="tau"):
+            estimate_covariance(banded, SolveConfig(rank_policy="penalty"), mask=mask)
+
 
 class TestStepKernel:
     def test_boundaries(self):

@@ -132,6 +132,26 @@ class TestConfigJson:
         assert payload["kernel"] == "scenarioA:1"
         assert payload["delta"] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("where, key", [(None, "placement"), ("solve", "tau")])
+    def test_unknown_key_rejected(self, where, key):
+        payload = json.loads(ExperimentConfig(kernel="scenarioA:1").to_json())
+        (payload[where] if where else payload)[key] = None
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json(json.dumps(payload))
+
+
+class TestResolvedDeltaPrime:
+    @pytest.mark.parametrize("delta, expected", [((0.5, 0.5), 0.4), ((0.4, 0.6), 0.4), ((0.7, 0.9), 0.7)])
+    def test_rule_on_the_law_lengths(self, delta, expected):
+        assert ExperimentConfig(kernel="scenarioA:1", delta=delta).resolved_delta_prime() == pytest.approx(expected)
+
+    def test_explicit_value_wins(self):
+        assert ExperimentConfig(kernel="scenarioA:1", delta_prime=0.3).resolved_delta_prime() == 0.3
+
+    def test_no_band_left(self):
+        with pytest.raises(ValueError, match="trusted band"):
+            ExperimentConfig(kernel="scenarioA:1", delta=(0.1, 0.1)).resolved_delta_prime()
+
 
 class TestIngest:
     def test_round_trip(self, tmp_path):
@@ -145,6 +165,27 @@ class TestIngest:
             assert np.array_equal(va, vb)
         assert np.allclose(back.intervals, sample.intervals)
         assert back.grid_type == "type2"
+
+    def test_rows_sorted_by_time_keep_their_intervals(self, tmp_path):
+        sample = fragment_irregular(scenario_kernel("A", 2), 12, FragmentLaw(0.3, 0.5), "type2", 40, seed=2)
+        path = tmp_path / "sample.csv"
+        write_fragments(sample, path)
+        header, *rows = path.read_text().splitlines()
+        rows.sort(key=lambda row: float(row.split(",")[1]))
+        path.write_text("\n".join([header, *rows]) + "\n")
+        back = ingest_fragments(path)
+        assert back.curve_ids != tuple(str(c) for c in sample.curve_ids)  # first appearance is not curve order
+        by_id = dict(zip(back.curve_ids, back.intervals))
+        for cid, interval in zip(sample.curve_ids, sample.intervals):
+            assert np.array_equal(by_id[str(cid)], interval)
+
+    def test_sidecar_missing_a_curve(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nb,0.6,4.0\n")
+        sidecar = {"intervals": [{"curve_id": "a", "start": 0.0, "delta": 0.3}]}
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="no interval for curve 'b'"):
+            ingest_fragments(path)
 
     def test_short_curve_dropped_with_warning(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -178,7 +219,7 @@ class TestIngest:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
-        for bad in ("a,not-a-number,2.0", "a,0.2,nan", "a,0.2,inf", "a,0.2,-inf"):
+        for bad in ("a,not-a-number,2.0", "a,0.2,nan", "a,0.2,inf", "a,0.2,-inf", "a,0.1,2.0"):
             path.write_text(f"curve_id,t,value\na,0.1,1.0\n{bad}\n")
             with pytest.raises(ValueError, match=":3"):
                 ingest_fragments(path)
