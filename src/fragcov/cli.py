@@ -218,7 +218,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except CompletionError as exc:
+    except (CompletionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,16 @@ propagation: each unknown entry is the unique root of a vanishing
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
+
+# scipy's own BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used so
+# that _bfgs takes scipy's iterates; a parity test pins it against minimize.
+from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from .core import BandMask, SeedLike, SymMatrix, as_generator, matrix_values
 
@@ -38,6 +43,9 @@ __all__ = [
 ]
 
 
+_log = logging.getLogger("fragcov.complete")
+
+
 class CompletionError(RuntimeError):
     """Completion failed: singular minor or diverged descent."""
 
@@ -48,9 +56,10 @@ class SolveConfig:
 
     grad_tol of None means the default 1e-9 / K^2 gradient-norm threshold.
     method selects the quasi-Newton flavor: "lbfgs" (limited-memory, runs to
-    tight tolerances; the default) or "bfgs" (dense approximation; with a
-    modest max_iter it mirrors common quasi-Newton defaults and is what the
-    benchmark-table protocol uses).
+    tight tolerances, then a trust-ncg polish; the default) or "bfgs" (a
+    dense inverse-Hessian BFGS loop, _bfgs, with scipy's line search and
+    stopping rules; with a modest max_iter it mirrors common quasi-Newton
+    defaults and is what the benchmark-table protocol uses).
     """
 
     max_rank_sweep: int | None = None
@@ -144,6 +153,86 @@ def _eigen_init(target: np.ndarray, rank: int) -> np.ndarray:
     return vecs[:, order] * np.sqrt(lam)
 
 
+def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
+    """Dense BFGS, step for step scipy's BFGS with its default options.
+
+    fun(x) returns (value, gradient) and is evaluated once per distinct x, so
+    nfev counts as in scipy. The stopping rules, line search and status codes
+    are scipy's (0 converged, 1 iteration cap, 2 line search failed or
+    non-finite value, 3 NaN). Only the inverse Hessian differs: scipy forms
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with two n x n x n products
+    per iteration; here H is updated in place in O(n^2) (Nocedal & Wright,
+    Numerical Optimization, Alg. 6.1) as
+
+        H <- H - rho (s (Hy)^T + (Hy) s^T) + (rho^2 y^T H y + rho) s s^T,
+
+    one n x 2 by 2 x n product. All of it runs on numpy's BLAS, as the
+    objective does: scipy.linalg.blas is a second OpenBLAS with its own thread
+    pool, and alternating the two lets each pool's idle-spinning workers take
+    the cores the other needs, so a replication's time jumped between about
+    1x and 3x from one call to the next on a 2-core machine.
+    """
+    last_x, last = None, None
+    nfev = 0
+
+    def value_grad(x):
+        nonlocal last_x, last, nfev
+        if last_x is None or not np.array_equal(x, last_x):
+            last_x, last = np.array(x), fun(x)
+            nfev += 1
+        return last
+
+    def value(x):
+        return value_grad(x)[0]
+
+    def grad(x):
+        return value_grad(x)[1]
+
+    x = np.array(x0, dtype=float).ravel()
+    fval, g = value_grad(x)
+    old_old_fval = fval + np.linalg.norm(g) / 2
+    H = np.eye(x.size)
+    # rows s, Hy | a, b with s a^T + Hy b^T the rank-2 update; update is its product
+    uv, update = np.empty((4, x.size)), np.empty_like(H)
+    k, status = 0, 0
+    gnorm = np.max(np.abs(g))
+    while gnorm > gtol and k < max_iter:
+        p = -(H @ g)
+        try:
+            alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
+                value, grad, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9
+            )
+        except _LineSearchError:
+            status = 2
+            break
+        s = alpha * p
+        x = x + s
+        if g_next is None:
+            g_next = grad(x)
+        y = g_next - g
+        g = g_next
+        k += 1
+        gnorm = np.max(np.abs(g))
+        if gnorm <= gtol or alpha * np.linalg.norm(p) <= 0.0:
+            break
+        if not np.isfinite(fval):
+            status = 2
+            break
+        sy = np.dot(y, s)
+        rho = 1000.0 if sy == 0.0 else 1.0 / sy
+        hy = H @ y
+        uv[0], uv[1] = s, hy
+        uv[2] = (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
+        uv[3] = -rho * s
+        np.matmul(uv[:2].T, uv[2:], out=update)
+        H += update
+    if status == 0 and k >= max_iter:
+        status = 1
+    elif status == 0 and (np.isnan(gnorm) or np.isnan(fval) or np.isnan(x).any()):
+        status = 3
+    return OptimizeResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status, success=status == 0)
+
+
 def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str = "lbfgs"):
     K, r = shape
 
@@ -152,7 +241,8 @@ def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int,
         return value, grad.ravel()
 
     if method == "bfgs":
-        res = minimize(fun, x0, jac=True, method="BFGS", options={"maxiter": max_iter, "gtol": gtol})
+        res = _bfgs(fun, x0, gtol, max_iter)
+        _log.debug("descent method=bfgs nit=%d nfev=%d converged=%s", res.nit, res.nfev, res.success)
     else:
         res = minimize(
             fun,
@@ -161,7 +251,12 @@ def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int,
             method="L-BFGS-B",
             options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20},
         )
-        res = _newton_polish(res, fun, shape, target, include)
+        best = _newton_polish(res, fun, shape, target, include)
+        _log.debug(
+            "descent method=lbfgs nit=%d nfev=%d converged=%s polish_kept=%s",
+            res.nit, res.nfev, res.success, best is not res,
+        )
+        res = best
     if not np.isfinite(res.fun):
         raise CompletionError("diverged: non-finite objective during descent")
     return res.x.reshape(K, r), float(res.fun)

@@ -70,8 +70,9 @@ class ExperimentConfig:
     rank_policy: str = "elbow"
     replications: int = 100
     seed: int = 0
-    # Table protocol: a dense quasi-Newton with a conventional iteration
-    # budget; the library-level SolveConfig default runs much deeper.
+    # Table protocol: fragcov's dense BFGS loop (complete._bfgs, scipy's line
+    # search and stopping rules) with a conventional iteration budget; the
+    # library-level SolveConfig default (L-BFGS + polish) runs much deeper.
     solve: SolveConfig = field(
         default_factory=lambda: SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)
     )
@@ -354,11 +355,11 @@ def format_table(results: list[ExperimentResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ingest_fragments(path, sidecar=None) -> FragmentSample:
+def ingest_fragments(path) -> FragmentSample:
     """Read a fragment CSV (header curve_id,t,value) into a FragmentSample.
 
-    Intervals come from the JSON sidecar when present (default: same path
-    with .json suffix), matched by curve_id, or by order of first appearance
+    Intervals come from the JSON sidecar (the same path with a .json suffix)
+    when present, matched by curve_id, or by order of first appearance
     if the sidecar has no ids and one interval per curve; else they are
     inferred as [min t, max t] per curve. Curves with fewer than two points
     are dropped with a warning. A row with t outside [0, 1], a non-finite
@@ -392,7 +393,7 @@ def ingest_fragments(path, sidecar=None) -> FragmentSample:
             rows[t] = v
 
     meta = None
-    sidecar_path = Path(sidecar) if sidecar else path.with_suffix(".json")
+    sidecar_path = path.with_suffix(".json")
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())
 

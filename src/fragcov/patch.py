@@ -86,8 +86,8 @@ def default_delta_prime(sample: FragmentSample) -> float | None:
     return trusted_delta_prime(sample.intervals[:, 1])
 
 
-def patched_regular(sample: FragmentSample, K: int | None = None) -> PatchedCovariance:
-    """Patched covariance of a common-grid sample.
+def patched_regular(sample: FragmentSample) -> PatchedCovariance:
+    """Patched covariance of a common-grid sample, K x K for its K grid points.
 
     Entry (j, l) is the mean of (X_i(t_j) - m_j)(X_i(t_l) - m_l) over the
     curves observing both t_j and t_l, where m_j, m_l are the means over
@@ -95,10 +95,7 @@ def patched_regular(sample: FragmentSample, K: int | None = None) -> PatchedCova
     """
     if sample.grid is None or sample.grid_indices is None:
         raise ValueError("patched_regular needs a sample on a common grid")
-    if K is None:
-        K = sample.grid.resolution
-    if K != sample.grid.resolution:
-        raise ValueError("K must match the sample's grid resolution")
+    K = sample.grid.resolution
     n = sample.n
     avail = np.zeros((n, K))
     vals = np.zeros((n, K))

@@ -99,19 +99,29 @@ class TestPipeline:
 class TestMalformedInput:
     @pytest.mark.parametrize("which", ["input", "counts"])
     @pytest.mark.parametrize("row", ["0.5,oops", "0.5"])
-    def test_matrix_row_reports_line(self, tmp_path, which, row):
+    def test_matrix_row_reports_line(self, tmp_path, capsys, which, row):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
         good.write_text("1.0,0.5\n0.5,1.0\n")
         bad.write_text(f"1.0,0.5\n{row}\n")
         files = {"input": good, "counts": good, which: bad}
-        with pytest.raises(ValueError, match="bad.csv:2"):
-            main(["complete", "--input", str(files["input"]), "--counts", str(files["counts"]),
-                  "--rank", "1", "--out", str(tmp_path / "o.csv")])
+        status = main(["complete", "--input", str(files["input"]), "--counts", str(files["counts"]),
+                       "--rank", "1", "--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
 
-    def test_simulate_rejects_three_lengths(self, tmp_path):
-        with pytest.raises(ValueError, match="--delta"):
-            main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
-                  "--out", str(tmp_path / "s.csv")])
+    def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
+        status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
+                       "--out", str(tmp_path / "s.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: --delta takes one length or a min,max pair")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        status = main(["patch", "--input", str(missing), "--out", str(tmp_path / "p.csv"),
+                       "--counts-out", str(tmp_path / "c.csv")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
 
 class TestRunCommand:

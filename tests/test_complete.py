@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from fragcov import (
     CompletionError,
@@ -17,13 +20,15 @@ from fragcov import (
     gradient,
     masked_frobenius_sq,
     objective,
+    patched_regular,
     rank_sweep,
     scenario_kernel,
     select_rank,
     solve_fixed_rank,
 )
-from fragcov.complete import LowRankFactor, parse_rank_policy
+from fragcov.complete import LowRankFactor, _bfgs, _eigen_init, masked_objective_grad, parse_rank_policy
 from fragcov.core import BandMask
+from fragcov.simulate import FragmentLaw, fragment, sample_gp
 from fragcov.patch import PatchedCovariance
 from fragcov.core import SymMatrix
 
@@ -154,6 +159,65 @@ class TestSolveFixedRank:
         f2, fit2 = solve_fixed_rank(banded, mask, 2)
         assert fit1 == fit2
         assert np.array_equal(f1.gamma, f2.gamma)
+
+
+def _table_problem(K, r, seed):
+    """Objective and eigen start of a table-protocol fit: patched scenario A
+    target of 200 fragments of length 0.5, fitted on the delta' = 0.4 band."""
+    rng = np.random.default_rng(seed)
+    grid = Grid.perturbed(K, rng)
+    paths = sample_gp(evaluate_on_grid(scenario_kernel("A", 3), grid), 200, rng)
+    target = np.ascontiguousarray(patched_regular(fragment(paths, grid, FragmentLaw(0.5, 0.5), rng)).values)
+    include = band_mask(K, 0.4).include
+
+    def fun(x):
+        value, grad = masked_objective_grad(x.reshape(K, r), target, include)
+        return value, grad.ravel()
+
+    return fun, _eigen_init(target, r).ravel()
+
+
+class TestDenseBFGS:
+    @pytest.mark.parametrize("max_iter", [100, 2000])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("K", [25, 50, 100])
+    def test_matches_scipy_bfgs(self, K, r, max_iter):
+        fun, x0 = _table_problem(K, r, seed=K + r)
+        ref = minimize(fun, x0, jac=True, method="BFGS", options={"maxiter": max_iter, "gtol": 1e-8})
+        res = _bfgs(fun, x0, 1e-8, max_iter)
+        assert (res.nit, res.nfev, res.success, res.status) == (ref.nit, ref.nfev, ref.success, ref.status)
+        assert np.linalg.norm(res.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+        assert res.fun == pytest.approx(ref.fun, rel=1e-12)
+
+    def test_stationary_start_takes_no_step(self):
+        fun, _ = _table_problem(25, 2, seed=1)
+        x0 = np.zeros(50)
+        res = _bfgs(fun, x0, 1e-8, 100)
+        assert (res.nit, res.nfev, res.success) == (0, 1, True)
+        assert np.array_equal(res.x, x0)
+
+    def test_nan_target_diverges(self):
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=2)
+        banded = banded.copy()
+        banded[3, 4] = banded[4, 3] = np.nan
+        with pytest.raises(CompletionError, match="diverged"):
+            solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs"), gamma0=np.ones((20, 2)))
+
+    def test_unconverged_descent_is_logged(self, caplog):
+        banded, mask, _ = _banded(scenario_kernel("A", 3), 30, 0.5, seed=5)
+        with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
+            solve_fixed_rank(banded, mask, 3, SolveConfig(method="bfgs", max_iter=5, grad_tol=1e-8))
+        (record,) = [r for r in caplog.records if r.name == "fragcov.complete"]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == "descent method=bfgs nit=5 nfev=6 converged=False"
+
+    def test_lbfgs_descent_logs_the_polish(self, caplog):
+        banded, mask, _ = _banded(scenario_kernel("A", 1), 20, 0.5, seed=6)
+        with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
+            solve_fixed_rank(banded, mask, 1)
+        (record,) = [r for r in caplog.records if r.name == "fragcov.complete"]
+        assert record.getMessage().startswith("descent method=lbfgs nit=")
+        assert "converged=True polish_kept=" in record.getMessage()
 
 
 class TestRankSweep:
