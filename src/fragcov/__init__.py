@@ -60,7 +60,6 @@ from .harness import (
     ingest_fragments,
     run_cell,
     run_table,
-    scree_report,
     table_cells,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "ingest_fragments",
     "run_cell",
     "run_table",
-    "scree_report",
     "table_cells",
     "__version__",
 ]

@@ -116,7 +116,8 @@ def _cmd_complete(args) -> int:
     estimate = estimate_covariance(patched, cfg)
     _write_matrix(args.out, estimate.matrix.values)
     if args.scree_out:
-        sweep = estimate.sweep or rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg)
+        # estimate.sweep stops at the selected rank; the scree covers every rank to --max-rank
+        sweep = rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg)
         Path(args.scree_out).write_text(_scree_csv(sweep))
     print(f"completed at rank {estimate.rank} (fit {estimate.fit:.3e}) -> {args.out}")
     return 0

@@ -356,16 +356,34 @@ class RankSweepResult:
     def max_rank(self) -> int:
         return len(self.fits)
 
+    @classmethod
+    def from_fits(cls, fits, factors, base_fit: float) -> "RankSweepResult":
+        """Sweep of the given per-rank fits, normalized by the zero factor's fit."""
+        fits = np.array(fits, dtype=float)
+        normalized = fits / base_fit if base_fit > 0 else np.zeros_like(fits)
+        return cls(fits=fits, normalized_fits=normalized, factors=tuple(factors), base_fit=base_fit)
 
-def rank_sweep(target, mask: BandMask, config: SolveConfig | None = None) -> RankSweepResult:
+
+def rank_sweep(
+    target, mask: BandMask, config: SolveConfig | None = None, until: str | None = None
+) -> RankSweepResult:
     """Solve the masked fit for each candidate rank, warm-starting upward.
 
     Rank i+1 starts from the rank-i factor plus one jittered column (and from
     a fresh eigen start; the better fit is kept). If jitter ever makes the
     fit worse than rank i, the zero-padded rank-i factor is used instead, so
     fits are nonincreasing by construction.
+
+    until=None sweeps every rank to config.sweep_bound (a scree). With a rank
+    policy, the sweep stops at the first rank where select_rank's answer under
+    that policy is decided (see _rank_decided); the ranks it visits get the
+    same fits and factors as in the full sweep, because every rank draws its
+    starts from one generator in rank order. Each sweep logs one DEBUG record
+    on the fragcov.complete logger: sweep policy=... visited=... bound=...
     """
     config = config or SolveConfig()
+    if until is not None:
+        parse_rank_policy(until)
     tvals = _target_values(target)
     K = tvals.shape[0]
     rng = as_generator(config.seed)
@@ -373,6 +391,7 @@ def rank_sweep(target, mask: BandMask, config: SolveConfig | None = None) -> Ran
     base_fit = objective(np.zeros((K, 1)), tvals, mask)
 
     fits, factors = [], []
+    sweep = RankSweepResult.from_fits(fits, factors, base_fit)
     prev: np.ndarray | None = None
     for rank in range(1, bound + 1):
         factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
@@ -388,9 +407,11 @@ def rank_sweep(target, mask: BandMask, config: SolveConfig | None = None) -> Ran
         fits.append(fit)
         factors.append(factor)
         prev = factor.gamma
-    fits = np.array(fits)
-    normalized = fits / base_fit if base_fit > 0 else np.zeros_like(fits)
-    return RankSweepResult(fits=fits, normalized_fits=normalized, factors=tuple(factors), base_fit=base_fit)
+        sweep = RankSweepResult.from_fits(fits, factors, base_fit)
+        if until is not None and _rank_decided(sweep, until):
+            break
+    _log.debug("sweep policy=%s visited=%d bound=%d", until, sweep.max_rank, bound)
+    return sweep
 
 
 def parse_rank_policy(policy: str) -> tuple[str, float]:
@@ -428,6 +449,25 @@ def select_rank(sweep: RankSweepResult, policy: str = "elbow") -> int:
     return int(ranks[np.argmin(sweep.fits + value * ranks)])
 
 
+def _rank_decided(sweep: RankSweepResult, policy: str) -> bool:
+    """Whether select_rank(sweep, policy) is the answer on every longer sweep.
+
+    A longer sweep is this nonempty one plus fits >= 0 at higher ranks.
+    fixed:q is decided once rank q is in the sweep; elbow:eps once the last
+    normalized fit is below eps (select_rank takes the first such rank);
+    penalty:tau once tau * (next rank) is at least the smallest
+    fit + tau * rank so far, since every later rank scores at least its
+    penalty and ties go to the smaller rank.
+    """
+    kind, value = parse_rank_policy(policy)
+    if kind == "fixed":
+        return sweep.max_rank >= value
+    if kind == "elbow":
+        return bool(sweep.normalized_fits[-1] < value)
+    ranks = np.arange(1, sweep.max_rank + 1)
+    return bool(value * (sweep.max_rank + 1) >= np.min(sweep.fits + value * ranks))
+
+
 @dataclass(frozen=True)
 class StepKernel:
     """Step-function kernel constant on the cells of the regular K-partition."""
@@ -449,7 +489,13 @@ class StepKernel:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Completed covariance matrix with the selected rank and its step kernel."""
+    """Completed covariance matrix with the selected rank and its step kernel.
+
+    sweep holds only the ranks the sweep visited: under elbow or penalty it
+    stops at the rank where the policy's choice is decided, so it is a prefix
+    of a full rank_sweep (call rank_sweep without until for a scree). It is
+    None under fixed:q, which solves rank q alone.
+    """
 
     matrix: SymMatrix
     rank: int
@@ -467,7 +513,9 @@ def estimate_covariance(
     """Full completion pipeline: mask, (sweep +) solve, rank selection.
 
     target is a PatchedCovariance (its effective band supplies the default
-    mask) or any symmetric matrix if a mask is given explicitly.
+    mask) or any symmetric matrix if a mask is given explicitly. Under elbow
+    and penalty the sweep runs only until config.rank_policy has decided the
+    rank; the rank, fit and factor equal those selected from a full sweep.
     """
     from .patch import PatchedCovariance, effective_mask
 
@@ -484,7 +532,7 @@ def estimate_covariance(
         rank = int(value)
         factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
     else:
-        sweep = rank_sweep(tvals, mask, config)
+        sweep = rank_sweep(tvals, mask, config, until=config.rank_policy)
         rank = select_rank(sweep, config.rank_policy)
         factor = sweep.factors[rank - 1]
         fit = float(sweep.fits[rank - 1])

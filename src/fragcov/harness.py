@@ -1,5 +1,5 @@
-"""Experiment orchestration: replicated scenario sweeps, result tables,
-fragment-file ingestion and scree reports.
+"""Experiment orchestration: replicated scenario sweeps, result tables and
+fragment-file ingestion.
 
 Replications are deterministic given the master seed: each replication
 derives independent child streams per pipeline stage, so parallel
@@ -14,7 +14,9 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .simulate import (
     sample_gp,
     stage_rng,
 )
-from .patch import effective_mask, patched_binned, patched_regular, trusted_delta_prime
+from .patch import patched_binned, patched_regular, trusted_delta_prime
 from .complete import SolveConfig, estimate_covariance
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "run_table",
     "table_cells",
     "ingest_fragments",
-    "scree_report",
     "five_number_summary",
     "results_to_csv",
     "format_table",
@@ -57,7 +58,13 @@ TABLE_IDS = ("T2", "T4", "T5", "T6", "T7")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation cell: kernel, sampling regime and solver policy."""
+    """One simulation cell: kernel, sampling regime and solver policy.
+
+    rank_policy is the cell's rank rule (the results CSV prints it) and is
+    copied into solve. A solve.rank_policy other than SolveConfig's default
+    must equal rank_policy, else ValueError; so replace(cfg, rank_policy=...)
+    also needs a solve carrying the new rule or the default.
+    """
 
     kernel: str
     n: int = 200
@@ -76,6 +83,14 @@ class ExperimentConfig:
     solve: SolveConfig = field(
         default_factory=lambda: SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)
     )
+
+    def __post_init__(self):
+        inner = self.solve.rank_policy
+        if inner not in (self.rank_policy, SolveConfig.rank_policy):
+            raise ValueError(
+                f"solve.rank_policy {inner!r} disagrees with the cell's rank_policy {self.rank_policy!r}"
+            )
+        object.__setattr__(self, "solve", replace(self.solve, rank_policy=self.rank_policy))
 
     def law(self) -> FragmentLaw:
         return FragmentLaw(float(self.delta[0]), float(self.delta[1]))
@@ -183,7 +198,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     # data support: corner pairs can be unobserved under random grids and
     # uniform starts, and the zero-filled target handles them.
     mask = band_mask(K, config.resolved_delta_prime(), exclude_diagonal=patched.noise_flag)
-    estimate = estimate_covariance(patched, replace(config.solve, rank_policy=config.rank_policy), mask=mask, rng=solve_rng)
+    estimate = estimate_covariance(patched, config.solve, mask=mask, rng=solve_rng)
     return relative_error(estimate.matrix, truth), K
 
 
@@ -203,10 +218,40 @@ def _worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+# BLAS libraries read their thread count once, when they are loaded.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _single_thread_blas_pool(workers: int):
+    """Process pool whose workers run BLAS on one thread each.
+
+    The workers are spawned, not forked: a forked worker inherits the
+    parent's BLAS, already loaded with its default thread count, and two such
+    workers on two cores spend more time contending than computing. Spawned
+    workers copy the environment when they start, so the thread variables
+    are set while the pool exists and os.environ is restored on exit.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_cell(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replications of one cell and summarize the relative errors.
 
-    Failed replications are recorded and excluded from the quartiles.
+    Failed replications are recorded and excluded from the quartiles. With
+    more than one worker the replications run in spawned processes, which
+    import the caller's main module again: a script must make this call
+    under `if __name__ == "__main__":`.
     """
     t0 = time.perf_counter()
     tasks = [(config, rep) for rep in range(config.replications)]
@@ -214,7 +259,7 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     if workers == 1 or len(tasks) == 1:
         outcomes = [_replicate_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with _single_thread_blas_pool(min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     outcomes.sort(key=lambda o: o[0])
     errors = np.array([o[1] for o in outcomes if o[1] is not None])
@@ -433,15 +478,3 @@ def ingest_fragments(path) -> FragmentSample:
         noise_sd=noise_sd,
         curve_ids=tuple(ids),
     )
-
-
-def scree_report(patched, config: SolveConfig | None = None, delta_prime: float | None = None):
-    """Rank-sweep fits behind a scree plot: rows of (rank, fit, normalized fit)."""
-    from .complete import rank_sweep
-
-    mask = effective_mask(patched, delta_prime)
-    sweep = rank_sweep(patched, mask, config)
-    return [
-        (i + 1, float(sweep.fits[i]), float(sweep.normalized_fits[i]))
-        for i in range(sweep.max_rank)
-    ]

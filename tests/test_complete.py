@@ -1,4 +1,7 @@
 import logging
+import warnings
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from fragcov import (
     CompletionError,
     Grid,
     MercerKernel,
+    RankSweepResult,
     SolveConfig,
     StepKernel,
     band_mask,
@@ -26,10 +30,17 @@ from fragcov import (
     select_rank,
     solve_fixed_rank,
 )
-from fragcov.complete import LowRankFactor, _bfgs, _eigen_init, masked_objective_grad, parse_rank_policy
+from fragcov.complete import (
+    LowRankFactor,
+    _bfgs,
+    _eigen_init,
+    _rank_decided,
+    masked_objective_grad,
+    parse_rank_policy,
+)
 from fragcov.core import BandMask
 from fragcov.simulate import FragmentLaw, fragment, sample_gp
-from fragcov.patch import PatchedCovariance
+from fragcov.patch import PatchedCovariance, effective_mask
 from fragcov.core import SymMatrix
 
 
@@ -233,11 +244,92 @@ class TestRankSweep:
         banded, mask, _ = _banded(scenario_kernel("B", 3), 40, 0.5, seed=6)
         sweep = rank_sweep(banded, mask, SolveConfig(max_rank_sweep=4))
         assert np.all(sweep.normalized_fits <= 1.0 + 1e-12)
+        assert sweep.max_rank == 4
 
     def test_default_bound(self):
         banded, mask, _ = _banded(scenario_kernel("A", 1), 20, 0.5, seed=7)
         sweep = rank_sweep(banded, mask, SolveConfig())
         assert sweep.max_rank == int(np.ceil(20 * 0.5)) - 3
+
+
+@lru_cache(maxsize=None)
+def _readme_patched():
+    """The README library quickstart's patched matrix (scenario A, rank 2, K=50, delta 0.6)."""
+    grid = Grid.perturbed(50, seed=0)
+    paths = sample_gp(evaluate_on_grid(scenario_kernel("A", 2), grid), n=200, seed=1)
+    return patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.6), seed=2))
+
+
+def _select_with_warnings_off(sweep, policy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return select_rank(sweep, policy)
+
+
+_POLICIES = st.one_of(
+    st.floats(-0.1, 1.5).map(lambda eps: f"elbow:{eps!r}"),
+    st.one_of(st.just(0.0), st.floats(-1.0, 5.0)).map(lambda tau: f"penalty:{tau!r}"),
+)
+
+
+class TestLazySweep:
+    @given(
+        fits=st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 10.0)), min_size=1, max_size=12),
+        base_fit=st.one_of(st.just(0.0), st.floats(1e-3, 20.0)),
+        policy=_POLICIES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stop_rule_keeps_the_selected_rank(self, fits, base_fit, policy):
+        full = RankSweepResult.from_fits(sorted(fits, reverse=True), (), base_fit)
+        stop = next(
+            (k for k in range(1, full.max_rank + 1)
+             if _rank_decided(RankSweepResult.from_fits(full.fits[:k], (), base_fit), policy)),
+            full.max_rank,
+        )
+        prefix = RankSweepResult.from_fits(full.fits[:stop], (), base_fit)
+        assert _select_with_warnings_off(prefix, policy) == _select_with_warnings_off(full, policy)
+
+    @pytest.mark.parametrize("case, taus", [("readme", (1e-4, 1e-3)), ("scenarioB3", (5e-6, 2e-4))])
+    def test_estimate_equals_selection_from_the_full_sweep(self, case, taus):
+        if case == "readme":
+            patched = _readme_patched()
+        else:
+            grid = Grid.perturbed(40, seed=4)
+            paths = sample_gp(evaluate_on_grid(scenario_kernel("B", 3), grid), n=200, seed=5)
+            patched = patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.6), seed=6))
+        config = SolveConfig(max_rank_sweep=6, seed=3)
+        full = rank_sweep(patched, effective_mask(patched), config)
+        for policy in ("elbow", *(f"penalty:{tau}" for tau in taus)):
+            est = estimate_covariance(patched, replace(config, rank_policy=policy))
+            rank = select_rank(full, policy)
+            assert est.rank == rank
+            assert est.fit == full.fits[rank - 1]
+            assert est.matrix.values.tobytes() == full.factors[rank - 1].matrix().tobytes()
+            assert np.array_equal(est.sweep.fits, full.fits[: est.sweep.max_rank])
+            if policy == "elbow":
+                assert est.sweep.max_rank == rank
+
+    def test_readme_elbow_visits_two_ranks(self):
+        est = estimate_covariance(_readme_patched(), SolveConfig(rank_policy="elbow"))
+        assert est.rank == 2
+        assert est.sweep.max_rank == 2
+
+    def test_sweep_without_policy_visits_every_rank(self):
+        sweep = rank_sweep(_readme_patched(), effective_mask(_readme_patched()), SolveConfig(max_rank_sweep=4))
+        assert sweep.max_rank == 4
+        assert select_rank(sweep, "elbow") == 2
+
+    def test_sweep_is_logged(self, caplog):
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 40, 0.5, seed=12)
+        with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
+            rank_sweep(banded, mask, SolveConfig(max_rank_sweep=5), until="elbow")
+            rank_sweep(banded, mask, SolveConfig(max_rank_sweep=3))
+        records = [r for r in caplog.records if r.getMessage().startswith("sweep ")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert [r.getMessage() for r in records] == [
+            "sweep policy=elbow visited=2 bound=5",
+            "sweep policy=None visited=3 bound=3",
+        ]
 
 
 class TestSelectRank:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from fragcov import (
     run_cell,
     run_table,
     scenario_kernel,
-    scree_report,
     table_cells,
     write_fragments,
 )
 from fragcov.harness import five_number_summary, format_table, results_to_csv
-from fragcov.patch import patched_binned
 
 
 class TestFiveNumberSummary:
@@ -132,6 +131,19 @@ class TestConfigJson:
         assert payload["kernel"] == "scenarioA:1"
         assert payload["delta"] == [0.5, 0.5]
 
+    def test_solve_carries_the_cell_rank_policy(self):
+        cfg = ExperimentConfig(**SMALL)
+        assert cfg.solve.rank_policy == cfg.rank_policy == "fixed:1"
+        assert json.loads(cfg.to_json())["solve"]["rank_policy"] == "fixed:1"
+
+    def test_disagreeing_solve_rank_policy_rejected(self):
+        with pytest.raises(ValueError, match="'fixed:3'.*'fixed:1'"):
+            ExperimentConfig(**{**SMALL, "solve": SolveConfig(rank_policy="fixed:3")})
+        payload = json.loads(ExperimentConfig(**SMALL).to_json())
+        payload["solve"]["rank_policy"] = "fixed:3"
+        with pytest.raises(ValueError, match="'fixed:3'.*'fixed:1'"):
+            ExperimentConfig.from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("where, key", [(None, "placement"), ("solve", "tau")])
     def test_unknown_key_rejected(self, where, key):
         payload = json.loads(ExperimentConfig(kernel="scenarioA:1").to_json())
@@ -237,17 +249,6 @@ class TestIngest:
             ingest_fragments(path)
 
 
-class TestScreeReport:
-    def test_rows_and_thresholds(self):
-        sample = fragment_irregular(scenario_kernel("A", 2), 150, FragmentLaw.fixed(0.6), "type1", 30, seed=4)
-        patched = patched_binned(sample, 30)
-        rows = scree_report(patched, SolveConfig(max_rank_sweep=4), delta_prime=0.5)
-        assert len(rows) == 4
-        assert [r[0] for r in rows] == [1, 2, 3, 4]
-        assert rows[0][2] <= 1.0 + 1e-12
-        assert all(rows[i][1] >= rows[i + 1][1] - 1e-10 for i in range(3))
-
-
 def test_worker_count_env_override(monkeypatch):
     from fragcov.harness import _worker_count
 
@@ -257,6 +258,24 @@ def test_worker_count_env_override(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.delenv("FRAGCOV_THREADS")
     assert _worker_count() >= 1
+
+
+def test_pool_workers_run_single_thread_blas(monkeypatch):
+    from fragcov import harness
+
+    # a worker that imports fragcov afresh also loads its BLAS afresh, under the pinned variables
+    monkeypatch.setattr(harness, "_set_in_parent_only", True, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with harness._single_thread_blas_pool(1) as pool:
+        seen = [pool.submit(os.getenv, name).result(timeout=120) for name in harness._BLAS_THREAD_VARS]
+        fresh = pool.submit(eval, "not hasattr(__import__('fragcov.harness').harness, '_set_in_parent_only')")
+        assert fresh.result(timeout=120)
+    assert seen == ["1"] * len(harness._BLAS_THREAD_VARS)
+    assert dict(os.environ) == before
+    run_cell(ExperimentConfig(**{**SMALL, "replications": 2}), workers=2)
+    assert dict(os.environ) == before
 
 
 def test_run_cell_byte_stable_csv():
