@@ -374,16 +374,16 @@ def rank_sweep(
     fit worse than rank i, the zero-padded rank-i factor is used instead, so
     fits are nonincreasing by construction.
 
-    until=None sweeps every rank to config.sweep_bound (a scree). With a rank
-    policy, the sweep stops at the first rank where select_rank's answer under
-    that policy is decided (see _rank_decided); the ranks it visits get the
-    same fits and factors as in the full sweep, because every rank draws its
-    starts from one generator in rank order. Each sweep logs one DEBUG record
+    until=None sweeps every rank to config.sweep_bound (a scree). With an
+    elbow or penalty policy, the sweep stops at the first rank where
+    select_rank's answer under that policy is decided (see _rank_decided);
+    the ranks it visits get the same fits and factors as in the full sweep,
+    because every rank draws its starts from one generator in rank order. Each sweep logs one DEBUG record
     on the fragcov.complete logger: sweep policy=... visited=... bound=...
     """
     config = config or SolveConfig()
-    if until is not None:
-        parse_rank_policy(until)
+    if until is not None and parse_rank_policy(until)[0] == "fixed":
+        raise ValueError(f"a sweep stops under elbow or penalty, not {until!r}: fixed:q solves rank q alone")
     tvals = _target_values(target)
     K = tvals.shape[0]
     rng = as_generator(config.seed)
@@ -453,15 +453,13 @@ def _rank_decided(sweep: RankSweepResult, policy: str) -> bool:
     """Whether select_rank(sweep, policy) is the answer on every longer sweep.
 
     A longer sweep is this nonempty one plus fits >= 0 at higher ranks.
-    fixed:q is decided once rank q is in the sweep; elbow:eps once the last
-    normalized fit is below eps (select_rank takes the first such rank);
-    penalty:tau once tau * (next rank) is at least the smallest
-    fit + tau * rank so far, since every later rank scores at least its
-    penalty and ties go to the smaller rank.
+    elbow:eps is decided once the last normalized fit is below eps
+    (select_rank takes the first such rank); penalty:tau once
+    tau * (next rank) is at least the smallest fit + tau * rank so far,
+    since every later rank scores at least its penalty and ties go to the
+    smaller rank.
     """
     kind, value = parse_rank_policy(policy)
-    if kind == "fixed":
-        return sweep.max_rank >= value
     if kind == "elbow":
         return bool(sweep.normalized_fits[-1] < value)
     ranks = np.arange(1, sweep.max_rank + 1)

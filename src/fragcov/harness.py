@@ -8,6 +8,7 @@ scheduling cannot change any result.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -16,7 +17,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,9 @@ class ExperimentConfig:
     rank_policy is the cell's rank rule (the results CSV prints it) and is
     copied into solve. A solve.rank_policy other than SolveConfig's default
     must equal rank_policy, else ValueError; so replace(cfg, rank_policy=...)
-    also needs a solve carrying the new rule or the default.
+    also needs a solve carrying the new rule or the default. A solve that
+    sets the default rule explicitly cannot be told from an unset one, and
+    takes the cell's rule.
     """
 
     kernel: str
@@ -218,48 +220,78 @@ def _worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-# BLAS libraries read their thread count once, when they are loaded.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# OpenBLAS's thread-count functions as the supported numpy and scipy wheels
+# name them: unprefixed in older wheels, scipy_-prefixed in newer ones, with
+# a 64_ suffix on the 64-bit-integer builds that numpy bundles.
+_OPENBLAS_THREADS = (
+    "openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "scipy_openblas_{}_num_threads64_",
+)
+
+
+def _openblas() -> list[tuple]:
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled with
+    numpy's and scipy's wheels that this process has loaded (each package
+    loads its own, with its own threads). Other BLAS builds are not listed."""
+    import scipy
+
+    controls = []
+    for package in (np, scipy):
+        bundle = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in sorted(bundle.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:  # bundled but not loaded
+                continue
+            name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
+            if name is not None:
+                controls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
+    return controls
+
+
+def _set_blas_threads(counts) -> None:
+    """Set each _openblas() library to its own count, or all to one int."""
+    controls = _openblas()
+    if isinstance(counts, int):
+        counts = [counts] * len(controls)
+    for (_, set_), n in zip(controls, counts):
+        set_(n)
 
 
 @contextmanager
-def _single_thread_blas_pool(workers: int):
-    """Process pool whose workers run BLAS on one thread each.
+def _single_thread_blas():
+    """Run OpenBLAS on one thread inside the block, then restore the counts.
 
-    The workers are spawned, not forked: a forked worker inherits the
-    parent's BLAS, already loaded with its default thread count, and two such
-    workers on two cores spend more time contending than computing. Spawned
-    workers copy the environment when they start, so the thread variables
-    are set while the pool exists and os.environ is restored on exit.
+    Replications run this way serially and in pool workers alike: OpenBLAS's
+    threaded reductions round differently from its serial ones, so this keeps
+    results independent of the worker count, and pool workers on the same
+    cores do not contend for BLAS threads.
     """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    saved = [get() for get, _ in _openblas()]
+    _set_blas_threads(1)
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            yield pool
+        yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        _set_blas_threads(saved)
 
 
 def run_cell(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replications of one cell and summarize the relative errors.
 
-    Failed replications are recorded and excluded from the quartiles. With
-    more than one worker the replications run in spawned processes, which
-    import the caller's main module again: a script must make this call
-    under `if __name__ == "__main__":`.
+    Failed replications are recorded and excluded from the quartiles.
+    Replications run BLAS on one thread, in the calling process as in each
+    pool worker (see _single_thread_blas).
     """
     t0 = time.perf_counter()
     tasks = [(config, rep) for rep in range(config.replications)]
     workers = _worker_count() if workers is None else max(1, workers)
     if workers == 1 or len(tasks) == 1:
-        outcomes = [_replicate_worker(t) for t in tasks]
+        with _single_thread_blas():
+            outcomes = [_replicate_worker(t) for t in tasks]
     else:
-        with _single_thread_blas_pool(min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     outcomes.sort(key=lambda o: o[0])
     errors = np.array([o[1] for o in outcomes if o[1] is not None])

@@ -319,6 +319,11 @@ class TestLazySweep:
         assert sweep.max_rank == 4
         assert select_rank(sweep, "elbow") == 2
 
+    def test_sweep_rejects_a_fixed_policy(self):
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=12)
+        with pytest.raises(ValueError, match="fixed:2"):
+            rank_sweep(banded, mask, SolveConfig(max_rank_sweep=3), until="fixed:2")
+
     def test_sweep_is_logged(self, caplog):
         banded, mask, _ = _banded(scenario_kernel("A", 2), 40, 0.5, seed=12)
         with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):

@@ -1,5 +1,6 @@
 import json
-import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestConfigJson:
         with pytest.raises(ValueError, match="'fixed:3'.*'fixed:1'"):
             ExperimentConfig.from_json(json.dumps(payload))
 
+    def test_replace_moves_the_rank_rule_with_its_solve(self):
+        cfg = ExperimentConfig(**SMALL)
+        with pytest.raises(ValueError, match="'fixed:1'.*'fixed:2'"):
+            replace(cfg, rank_policy="fixed:2")
+        moved = replace(cfg, rank_policy="fixed:2", solve=replace(cfg.solve, rank_policy="fixed:2"))
+        assert moved.solve.rank_policy == "fixed:2"
+        # SolveConfig's default rule reads as unset, so the cell's rule replaces it
+        explicit = ExperimentConfig(**{**SMALL, "solve": SolveConfig(rank_policy="elbow")})
+        assert explicit.solve.rank_policy == "fixed:1"
+
     @pytest.mark.parametrize("where, key", [(None, "placement"), ("solve", "tau")])
     def test_unknown_key_rejected(self, where, key):
         payload = json.loads(ExperimentConfig(kernel="scenarioA:1").to_json())
@@ -260,22 +271,36 @@ def test_worker_count_env_override(monkeypatch):
     assert _worker_count() >= 1
 
 
-def test_pool_workers_run_single_thread_blas(monkeypatch):
+def _openblas_threads() -> list[int]:
     from fragcov import harness
 
-    # a worker that imports fragcov afresh also loads its BLAS afresh, under the pinned variables
-    monkeypatch.setattr(harness, "_set_in_parent_only", True, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    before = dict(os.environ)
-    with harness._single_thread_blas_pool(1) as pool:
-        seen = [pool.submit(os.getenv, name).result(timeout=120) for name in harness._BLAS_THREAD_VARS]
-        fresh = pool.submit(eval, "not hasattr(__import__('fragcov.harness').harness, '_set_in_parent_only')")
-        assert fresh.result(timeout=120)
-    assert seen == ["1"] * len(harness._BLAS_THREAD_VARS)
-    assert dict(os.environ) == before
-    run_cell(ExperimentConfig(**{**SMALL, "replications": 2}), workers=2)
-    assert dict(os.environ) == before
+    return [get() for get, _ in harness._openblas()]
+
+
+def test_replications_run_single_thread_blas():
+    from fragcov import harness
+
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("numpy and scipy load no bundled OpenBLAS here")
+    ones, twos = [1] * len(before), [2] * len(before)
+    harness._set_blas_threads(2)
+    try:
+        with harness._single_thread_blas():
+            assert _openblas_threads() == ones
+        assert _openblas_threads() == twos
+        with ProcessPoolExecutor(1, initializer=harness._set_blas_threads, initargs=(1,)) as pool:
+            assert pool.submit(_openblas_threads).result(timeout=120) == ones
+        assert _openblas_threads() == twos
+    finally:
+        harness._set_blas_threads(before)
+
+
+def test_bigger_cell_independent_of_worker_count():
+    # at K=100 OpenBLAS's threaded reductions change the last bits of the
+    # errors, so this holds only with BLAS on one thread in every process
+    cfg = ExperimentConfig(kernel="scenarioA:3", K=100, delta=(0.5, 0.5), rank_policy="fixed:3", replications=4, seed=1)
+    assert run_cell(cfg, workers=1).errors.tobytes() == run_cell(cfg, workers=2).errors.tobytes()
 
 
 def test_run_cell_byte_stable_csv():
