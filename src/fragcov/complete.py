@@ -14,15 +14,14 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
-
-# scipy's own BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used so
-# that _bfgs takes scipy's iterates; a parity test pins it against minimize.
-from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
 
 from .core import BandMask, SeedLike, SymMatrix, as_generator, matrix_values
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 __all__ = [
     "CompletionError",
@@ -153,6 +152,15 @@ def _eigen_init(target: np.ndarray, rank: int) -> np.ndarray:
     return vecs[:, order] * np.sqrt(lam)
 
 
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on first call, so that importing
+    fragcov and the simulate and patch commands load numpy only. Descents
+    call it through this module attribute, which perfbench's tracer wraps."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
+
+
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     """Dense BFGS, step for step scipy's BFGS with its default options.
 
@@ -172,6 +180,12 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     the cores the other needs, so a replication's time jumped between about
     1x and 3x from one call to the next on a 2-core machine.
     """
+    from scipy.optimize import OptimizeResult
+
+    # scipy's own BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used
+    # so that _bfgs takes scipy's iterates; a parity test pins it against minimize.
+    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
+
     last_x, last = None, None
     nfev = 0
 

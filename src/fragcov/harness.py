@@ -233,9 +233,11 @@ _OPENBLAS_THREADS = (
 
 def _openblas() -> list[tuple]:
     """(get, set) thread-count functions of the OpenBLAS libraries bundled with
-    numpy's and scipy's wheels that this process has loaded (each package
-    loads its own, with its own threads). Other BLAS builds are not listed."""
-    import scipy
+    numpy's and scipy's wheels (each package loads its own, with its own
+    threads). Other BLAS builds are not listed. scipy.optimize is imported
+    first, so that scipy's OpenBLAS is loaded and listed before a solve
+    would load it at its default thread count."""
+    import scipy.optimize
 
     controls = []
     for package in (np, scipy):
@@ -291,6 +293,7 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
         with _single_thread_blas():
             outcomes = [_replicate_worker(t) for t in tasks]
     else:
+        _openblas()  # forked workers inherit scipy instead of each importing it
         with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     outcomes.sort(key=lambda o: o[0])

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .core import Grid, SymMatrix
 
@@ -95,6 +93,8 @@ class MaternKernel(Kernel):
 
     def at_distance(self, d):
         """sigma2 * 2^(1-nu)/Gamma(nu) * x^nu * K_nu(x) with x = sqrt(2 nu) d / rho."""
+        from scipy.special import gamma as gamma_fn, kv  # only Matern kernels need scipy
+
         d = np.abs(np.asarray(d, dtype=float))
         x = math.sqrt(2.0 * self.nu) * d / self.rho
         with np.errstate(invalid="ignore"):

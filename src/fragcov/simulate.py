@@ -181,11 +181,15 @@ def fragment(values: np.ndarray, grid: Grid, law: FragmentLaw, seed: SeedLike = 
     )
 
 
-def _sample_curve_values(kernel: Kernel, pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cov = evaluate_on_grid(kernel, pts).values
+def _sample_curve_values(kernel: Kernel, times: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gaussian values of m curves at their (m, q) times from (m, q) standard
+    normals: each curve's z times the eigendecomposition square root of the
+    kernel's symmetrized matrix at its times, as sample_gp does for one matrix."""
+    cov = np.asarray(kernel(times[:, :, None], times[:, None, :]), dtype=float)
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(cov)
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return root @ rng.standard_normal(pts.size)
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    return np.matmul(root, z[:, :, None])[:, :, 0]
 
 
 def fragment_irregular(
@@ -219,12 +223,10 @@ def fragment_irregular(
     if np.any(quotas < 2):
         raise ValueError("fragment too sparse: fewer than 2 observation points")
 
-    times, vals, intervals = [], [], np.empty((n, 2))
-
     if grid_type == "type1":
         shared = Grid.perturbed(K, rng_grid)
         paths = sample_gp(evaluate_on_grid(kernel, shared), n, rng_paths)
-        indices = []
+        times, vals, indices, starts = [], [], [], []
         for i in range(n):
             d, q = deltas[i], quotas[i]
             for _ in range(1000):
@@ -238,27 +240,33 @@ def fragment_irregular(
             times.append(shared.points[keep])
             vals.append(paths[i, keep])
             indices.append(keep)
-            intervals[i] = (s, d)
+            starts.append(s)
         return FragmentSample(
             times=tuple(times),
             values=tuple(vals),
-            intervals=intervals,
+            intervals=np.column_stack([starts, deltas]),
             grid_type="type1",
             grid=shared,
             grid_indices=tuple(indices),
         )
 
+    # Curve i takes draws offsets[i]:offsets[i + 1] of one uniform and one
+    # normal stream, in curve order, the same draws a per-curve loop makes.
+    # Curves of equal quota share one stacked eigendecomposition.
     starts = law.place(deltas, rng_intervals)
-    for i in range(n):
-        s, d, q = starts[i], deltas[i], quotas[i]
-        t = np.sort(rng_times.uniform(s, s + d, size=q))
-        times.append(t)
-        vals.append(_sample_curve_values(kernel, t, rng_paths))
-        intervals[i] = (s, d)
+    offsets = np.concatenate([[0], np.cumsum(quotas)])
+    t_flat = rng_times.uniform(np.repeat(starts, quotas), np.repeat(starts + deltas, quotas))
+    z_flat = rng_paths.standard_normal(offsets[-1])
+    v_flat = np.empty_like(z_flat)
+    for q in np.unique(quotas):
+        rows = offsets[:-1][quotas == q, None] + np.arange(q)
+        t = np.sort(t_flat[rows], axis=1)
+        t_flat[rows] = t
+        v_flat[rows] = _sample_curve_values(kernel, t, z_flat[rows])
     return FragmentSample(
-        times=tuple(times),
-        values=tuple(vals),
-        intervals=intervals,
+        times=tuple(np.split(t_flat, offsets[1:-1])),
+        values=tuple(np.split(v_flat, offsets[1:-1])),
+        intervals=np.column_stack([starts, deltas]),
         grid_type="type2",
     )
 
@@ -280,16 +288,15 @@ def write_fragments(sample: FragmentSample, path) -> None:
     path = Path(path)
     lines = ["curve_id,t,value"]
     for cid, t, v in zip(sample.curve_ids, sample.times, sample.values):
-        for tj, vj in zip(t, v):
-            lines.append(f"{cid},{float(tj)!r},{float(vj)!r}")
+        lines.extend(f"{cid},{tj!r},{vj!r}" for tj, vj in zip(t.tolist(), v.tolist()))
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "n": sample.n,
         "grid_type": sample.grid_type,
         "noise_sd": sample.noise_sd,
         "intervals": [
-            {"curve_id": str(cid), "start": float(s), "delta": float(d)}
-            for cid, (s, d) in zip(sample.curve_ids, sample.intervals)
+            {"curve_id": str(cid), "start": s, "delta": d}
+            for cid, (s, d) in zip(sample.curve_ids, sample.intervals.tolist())
         ],
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1) + "\n")

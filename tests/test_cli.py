@@ -162,3 +162,31 @@ class TestExitCodes:
         patched = tmp_path / "p.csv"
         patched.write_text("1.0,0.5\n0.5,1.0\n")
         assert main(["complete", "--input", str(patched), "--rank", "1", "--out", str(tmp_path / "o.csv")]) == 2
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import fragcov, fragcov.cli
+from fragcov import cli
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules)
+
+d = sys.argv[1]
+seen = {"import": scipy_loaded()}
+common = ["--grid-type", "type2", "--n", "40", "--k", "20", "--delta", "0.5,0.7", "--seed", "3"]
+codes = [cli.main(["simulate", "--kernel", "scenarioA:2", *common, "--out", d + "/a.csv"])]
+seen["simulate"] = scipy_loaded()
+codes.append(cli.main(["patch", "--input", d + "/a.csv", "--k", "10", "--out", d + "/p.csv", "--counts-out", d + "/c.csv"]))
+seen["patch"] = scipy_loaded()
+codes.append(cli.main(["simulate", "--kernel", "matern:1.5,0.5", *common, "--out", d + "/m.csv"]))
+seen["matern"] = scipy_loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_simulate_and_patch_load_no_scipy_solver(fresh_python, tmp_path):
+    out = fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path))
+    assert out["codes"] == [0, 0, 0]
+    assert out["seen"] == {"import": [], "simulate": [], "patch": [], "matern": ["scipy.special"]}
+    assert (tmp_path / "m.csv").read_text().count("\n") > 40

@@ -296,6 +296,61 @@ def test_replications_run_single_thread_blas():
         harness._set_blas_threads(before)
 
 
+_POOL_SCRIPT = """
+import json, sys
+import fragcov
+from fragcov import harness
+
+started_with = []
+
+class Pool(harness.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        started_with.append("scipy.optimize" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+harness.ProcessPoolExecutor = Pool
+cfg = fragcov.ExperimentConfig(kernel="scenarioA:1", K=12, n=40, delta=(0.6, 0.6), rank_policy="fixed:1", replications=2)
+result = harness.run_cell(cfg, workers=2)
+print(json.dumps({"started_with": started_with, "failures": len(result.failures)}))
+"""
+
+_BLAS_SCRIPT = """
+import json, sys
+from pathlib import Path
+import fragcov
+from fragcov import harness
+
+assert "scipy" not in sys.modules
+set_threads, restored = harness._set_blas_threads, []
+
+def recording_set(counts):
+    restored.append(counts)
+    set_threads(counts)
+
+harness._set_blas_threads = recording_set
+with harness._single_thread_blas():
+    inside = [get() for get, _ in harness._openblas()]
+
+import numpy, scipy
+bundled = [p for m in (numpy, scipy) for p in Path(m.__file__).parent.with_name(m.__name__ + ".libs").glob("*openblas*")]
+print(json.dumps({"inside": inside, "restored": restored[-1], "bundled": len(bundled)}))
+"""
+
+
+def test_pool_and_blas_threads_see_scipy_loaded(fresh_python):
+    # fragcov imports scipy where a solve runs. The pool must fork after
+    # scipy.optimize is loaded, or each worker imports it for itself; and
+    # scipy's OpenBLAS must be loaded before thread counts are saved and set,
+    # or a solve loads it at its default count and the restore misses it.
+    pool = fresh_python(_POOL_SCRIPT)
+    assert pool == {"started_with": [True], "failures": 0}
+    blas = fresh_python(_BLAS_SCRIPT)
+    if not blas["bundled"]:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    assert blas["inside"] == [1] * blas["bundled"]
+    assert len(blas["restored"]) == blas["bundled"]
+
+
 def test_bigger_cell_independent_of_worker_count():
     # at K=100 OpenBLAS's threaded reductions change the last bits of the
     # errors, so this holds only with BLAS on one thread in every process

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,14 @@ from fragcov import (
     evaluate_on_grid,
     fragment,
     fragment_irregular,
+    kernel_from_id,
     sample_gp,
     scenario_kernel,
+    write_fragments,
 )
-from fragcov.simulate import STAGE_NOISE, STAGE_PATHS, stage_rng
+from fragcov.simulate import STAGE_INTERVALS, STAGE_NOISE, STAGE_PATHS, STAGE_TIMES, stage_rng
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestSampleGP:
@@ -133,6 +139,67 @@ class TestFragmentIrregular:
         b = fragment_irregular(kern, 20, FragmentLaw(0.5, 0.7), "type2", 50, seed=7)
         for va, vb in zip(a.values, b.values):
             assert np.array_equal(va, vb)
+
+
+def _type2_per_curve(kernel, n, law, base_resolution, seed):
+    """Reference type-2 sampler: one curve at a time, each with its own kernel
+    matrix, eigendecomposition and draws."""
+    rng_paths = stage_rng(seed, STAGE_PATHS)
+    rng_intervals = stage_rng(seed, STAGE_INTERVALS)
+    rng_times = stage_rng(seed, STAGE_TIMES)
+    deltas = law.draw_lengths(n, rng_intervals)
+    quotas = np.ceil(base_resolution * deltas).astype(int)
+    starts = law.place(deltas, rng_intervals)
+    times, vals, intervals = [], [], np.empty((n, 2))
+    for i in range(n):
+        s, d, q = starts[i], deltas[i], quotas[i]
+        t = np.sort(rng_times.uniform(s, s + d, size=q))
+        cov = evaluate_on_grid(kernel, t).values
+        ev, vecs = np.linalg.eigh(cov)
+        root = vecs * np.sqrt(np.clip(ev, 0.0, None))
+        times.append(t)
+        vals.append(root @ rng_paths.standard_normal(q))
+        intervals[i] = (s, d)
+    return times, vals, intervals
+
+
+class TestType2BatchedParity:
+    """fragment_irregular draws type-2 fragments in batches of equal quota;
+    it must reproduce the per-curve sampler bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["scenarioA:3", "scenarioB:3", "matern:1.5,0.5", "matern+A2"])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            FragmentLaw(0.4, 0.6),
+            FragmentLaw(0.3, 0.7, "uniform"),
+            FragmentLaw.fixed(0.5),  # every curve has the same quota
+            FragmentLaw.fixed(0.45, "uniform"),
+        ],
+        ids=["variable-clipped", "variable-uniform", "fixed-clipped", "fixed-uniform"],
+    )
+    def test_same_draws_as_per_curve_loop(self, kernel, law):
+        kern = kernel_from_id(kernel)
+        for seed in (0, 1, 2024):
+            sample = fragment_irregular(kern, 40, law, "type2", 30, seed=seed)
+            times, vals, intervals = _type2_per_curve(kern, 40, law, 30, seed)
+            assert all(map(np.array_equal, sample.times, times))
+            assert all(map(np.array_equal, sample.values, vals))
+            assert np.array_equal(sample.intervals, intervals)
+
+    def test_sparse_curve_still_rejected(self):
+        # quotas ceil(4 * delta) range over 1..3: some curves, not all, are too sparse
+        with pytest.raises(ValueError, match="fragment too sparse"):
+            fragment_irregular(scenario_kernel("A", 1), 50, FragmentLaw(0.2, 0.6), "type2", 4, seed=0)
+
+
+def test_write_fragments_bytes_pinned(tmp_path):
+    # fixture written by the per-curve sampler and writer (scenarioB:2, noise 0.1)
+    sample = fragment_irregular(kernel_from_id("scenarioB:2"), 8, FragmentLaw(0.3, 0.5), "type2", 12, seed=5)
+    sample = add_noise(sample, 0.1, stage_rng(5, STAGE_NOISE))
+    write_fragments(sample, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (DATA / "type2_noisy.csv").read_bytes()
+    assert (tmp_path / "s.json").read_bytes() == (DATA / "type2_noisy.json").read_bytes()
 
 
 class TestAddNoise:
