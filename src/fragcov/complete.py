@@ -11,9 +11,14 @@ propagation: each unknown entry is the unique root of a vanishing
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -152,6 +157,93 @@ def _eigen_init(target: np.ndarray, rank: int) -> np.ndarray:
     return vecs[:, order] * np.sqrt(lam)
 
 
+# OpenBLAS's thread-count functions as the supported numpy and scipy wheels
+# name them: unprefixed in older wheels, scipy_-prefixed in newer ones, with
+# a 64_ suffix on the 64-bit-integer builds that numpy bundles.
+_OPENBLAS_THREADS = (
+    "openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "scipy_openblas_{}_num_threads64_",
+)
+
+# the process's OpenBLAS controls (None until first looked up), and the pin's
+# nesting depth and the counts its outermost level saved, guarded by _pin_lock
+_controls: list[tuple] | None = None
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[int] = []
+
+
+def _openblas() -> list[tuple]:
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled with
+    numpy's and scipy's wheels (each package loads its own, with its own
+    threads). Other BLAS builds are not listed. scipy.optimize is imported
+    first, so that scipy's OpenBLAS is loaded and listed before a solve
+    would load it at its default thread count. Looked up once per process:
+    both libraries are loaded by then and stay loaded."""
+    global _controls
+    if _controls is not None:
+        return _controls
+    import scipy.optimize
+
+    controls = []
+    for package in (np, scipy):
+        bundle = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        for path in sorted(bundle.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:  # bundled but not loaded
+                continue
+            name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
+            if name is not None:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    if not controls:
+        _log.debug("no bundled OpenBLAS loaded: solves run at this BLAS's own thread count")
+    _controls = controls
+    return controls
+
+
+def _set_blas_threads(counts) -> None:
+    """Set each _openblas() library to its own count, or all to one int."""
+    controls = _openblas()
+    if isinstance(counts, int):
+        counts = [counts] * len(controls)
+    for (_, set_), n in zip(controls, counts):
+        set_(n)
+
+
+@contextmanager
+def _single_thread_blas():
+    """Run OpenBLAS on one thread inside the block, then restore the counts.
+
+    solve_fixed_rank, rank_sweep and estimate_covariance run this way, as
+    does each replication of harness.run_cell. A solve alternates numpy's
+    matmuls with scipy's L-BFGS-B, each on its own OpenBLAS, and each pool's
+    idle-spinning workers take the cores the other needs; and OpenBLAS's
+    threaded reductions round differently from its serial ones, so pinning
+    also keeps results independent of the caller's thread count. Only the
+    outermost block saves, sets and restores the counts (also when the block
+    raises); nested blocks, in any thread, cost a lock and a counter.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [get() for get, _ in _openblas()]
+            _set_blas_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                _set_blas_threads(_pin_saved)
+
+
 def minimize(fun, x0, **options):
     """scipy.optimize.minimize, imported on first call, so that importing
     fragcov and the simulate and patch commands load numpy only. Descents
@@ -178,7 +270,9 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     objective does: scipy.linalg.blas is a second OpenBLAS with its own thread
     pool, and alternating the two lets each pool's idle-spinning workers take
     the cores the other needs, so a replication's time jumped between about
-    1x and 3x from one call to the next on a 2-core machine.
+    1x and 3x from one call to the next on a 2-core machine. The solver entry
+    points also run both on one thread (_single_thread_blas), which stops
+    that contention where a descent must use scipy's BLAS (L-BFGS-B's setulb).
     """
     from scipy.optimize import OptimizeResult
 
@@ -310,6 +404,7 @@ def _newton_polish(res, fun, shape, target, include):
     return res
 
 
+@_single_thread_blas()
 def solve_fixed_rank(
     target,
     mask: BandMask,
@@ -322,7 +417,9 @@ def solve_fixed_rank(
 
     Quasi-Newton descent from the truncated eigendecomposition of the
     target (or an explicit warm start); with restarts > 1, extra starts add
-    small Gaussian jitter and the best fit wins.
+    small Gaussian jitter and the best fit wins. Runs the bundled OpenBLAS
+    on one thread, as do rank_sweep and estimate_covariance (see
+    _single_thread_blas).
     """
     config = config or SolveConfig()
     tvals = _target_values(target)
@@ -378,6 +475,7 @@ class RankSweepResult:
         return cls(fits=fits, normalized_fits=normalized, factors=tuple(factors), base_fit=base_fit)
 
 
+@_single_thread_blas()
 def rank_sweep(
     target, mask: BandMask, config: SolveConfig | None = None, until: str | None = None
 ) -> RankSweepResult:
@@ -516,6 +614,7 @@ class CovarianceEstimate:
     sweep: RankSweepResult | None = None
 
 
+@_single_thread_blas()
 def estimate_covariance(
     target,
     config: SolveConfig | None = None,

@@ -8,14 +8,12 @@ scheduling cannot change any result.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -38,7 +36,7 @@ from .simulate import (
     stage_rng,
 )
 from .patch import patched_binned, patched_regular, trusted_delta_prime
-from .complete import SolveConfig, estimate_covariance
+from .complete import SolveConfig, _openblas, _set_blas_threads, _single_thread_blas, estimate_covariance
 
 __all__ = [
     "ExperimentConfig",
@@ -220,71 +218,14 @@ def _worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-# OpenBLAS's thread-count functions as the supported numpy and scipy wheels
-# name them: unprefixed in older wheels, scipy_-prefixed in newer ones, with
-# a 64_ suffix on the 64-bit-integer builds that numpy bundles.
-_OPENBLAS_THREADS = (
-    "openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-    "scipy_openblas_{}_num_threads64_",
-)
-
-
-def _openblas() -> list[tuple]:
-    """(get, set) thread-count functions of the OpenBLAS libraries bundled with
-    numpy's and scipy's wheels (each package loads its own, with its own
-    threads). Other BLAS builds are not listed. scipy.optimize is imported
-    first, so that scipy's OpenBLAS is loaded and listed before a solve
-    would load it at its default thread count."""
-    import scipy.optimize
-
-    controls = []
-    for package in (np, scipy):
-        bundle = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-        for path in sorted(bundle.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:  # bundled but not loaded
-                continue
-            name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("set"))), None)
-            if name is not None:
-                controls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
-    return controls
-
-
-def _set_blas_threads(counts) -> None:
-    """Set each _openblas() library to its own count, or all to one int."""
-    controls = _openblas()
-    if isinstance(counts, int):
-        counts = [counts] * len(controls)
-    for (_, set_), n in zip(controls, counts):
-        set_(n)
-
-
-@contextmanager
-def _single_thread_blas():
-    """Run OpenBLAS on one thread inside the block, then restore the counts.
-
-    Replications run this way serially and in pool workers alike: OpenBLAS's
-    threaded reductions round differently from its serial ones, so this keeps
-    results independent of the worker count, and pool workers on the same
-    cores do not contend for BLAS threads.
-    """
-    saved = [get() for get, _ in _openblas()]
-    _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        _set_blas_threads(saved)
-
-
 def run_cell(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run all replications of one cell and summarize the relative errors.
 
     Failed replications are recorded and excluded from the quartiles.
-    Replications run BLAS on one thread, in the calling process as in each
-    pool worker (see _single_thread_blas).
+    Replications run the bundled OpenBLAS on one thread, in the calling
+    process as in each pool worker: the whole replication, not only the
+    solve, which pins itself (complete._single_thread_blas), because
+    sample_gp's matmul is threaded too.
     """
     t0 = time.perf_counter()
     tasks = [(config, rep) for rep in range(config.replications)]

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from fragcov import (
     CompletionError,
+    ExperimentConfig,
     Grid,
     MercerKernel,
     RankSweepResult,
@@ -26,10 +27,12 @@ from fragcov import (
     objective,
     patched_regular,
     rank_sweep,
+    run_cell,
     scenario_kernel,
     select_rank,
     solve_fixed_rank,
 )
+from fragcov import complete
 from fragcov.complete import (
     LowRankFactor,
     _bfgs,
@@ -476,3 +479,90 @@ def test_low_rank_factor_psd():
     f = LowRankFactor(np.random.default_rng(0).standard_normal((5, 2)))
     eigs = np.linalg.eigvalsh(f.matrix())
     assert eigs.min() >= -1e-10 * eigs.max()
+
+
+@lru_cache(maxsize=None)
+def _k200_patched():
+    """Patched scenario A rank-3 matrix: K=200, 300 fragments of length 0.5.
+    (At K=100 a fixed:3 solve gives the same bytes at 1 and 2 threads even
+    unpinned; at K=200 its matmuls are large enough for OpenBLAS to thread.)"""
+    grid = Grid.perturbed(200, seed=0)
+    paths = sample_gp(evaluate_on_grid(scenario_kernel("A", 3), grid), n=300, seed=1)
+    return patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.5), seed=2))
+
+
+class TestSingleThreadBlas:
+    """Every solve runs the bundled OpenBLAS on one thread and restores the
+    caller's counts; nested pins do nothing."""
+
+    @staticmethod
+    def _counts():
+        return [get() for get, _ in complete._openblas()]
+
+    @pytest.fixture()
+    def two_threads(self):
+        before = self._counts()
+        if not before:
+            pytest.skip("numpy and scipy load no bundled OpenBLAS here")
+        complete._set_blas_threads(2)
+        yield [2] * len(before)
+        complete._set_blas_threads(before)
+
+    def test_estimate_independent_of_the_caller_thread_count(self, two_threads):
+        patched = _k200_patched()
+        config = SolveConfig(rank_policy="fixed:3")
+        at_two = estimate_covariance(patched, config).matrix.values.tobytes()
+        assert self._counts() == two_threads
+        complete._set_blas_threads(1)
+        at_one = estimate_covariance(patched, config).matrix.values.tobytes()
+        complete._set_blas_threads(2)
+        assert at_two == at_one
+        with pytest.raises(ValueError, match="mask dimension"):
+            estimate_covariance(patched, config, mask=band_mask(199, 0.5))
+        assert self._counts() == two_threads
+
+    def test_every_descent_runs_pinned(self, two_threads, monkeypatch):
+        seen = []
+
+        def recording(gamma, target, mask):
+            seen.append(self._counts())
+            return masked_objective_grad(gamma, target, mask)
+
+        monkeypatch.setattr(complete, "masked_objective_grad", recording)
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 30, 0.5, seed=5)
+        ones = [1] * len(two_threads)
+        for solve in (
+            lambda: solve_fixed_rank(banded, mask, 2),
+            lambda: rank_sweep(banded, mask, SolveConfig(max_rank_sweep=4), until="elbow"),
+            lambda: estimate_covariance(banded, SolveConfig(rank_policy="elbow", max_rank_sweep=4), mask=mask),
+        ):
+            seen.clear()
+            solve()
+            assert seen and all(counts == ones for counts in seen)
+            assert self._counts() == two_threads
+
+    def test_run_cell_pins_once(self, two_threads, monkeypatch):
+        calls = []
+        set_threads = complete._set_blas_threads
+
+        def recording(counts):
+            calls.append(counts)
+            set_threads(counts)
+
+        monkeypatch.setattr(complete, "_set_blas_threads", recording)
+        cfg = ExperimentConfig(kernel="scenarioA:1", n=60, K=20, delta=(0.6, 0.6), rank_policy="fixed:1", replications=3)
+        assert not run_cell(cfg, workers=1).failures
+        assert calls == [1, two_threads]
+
+    def test_other_blas_builds_are_logged_once(self, monkeypatch, caplog):
+        monkeypatch.setattr(complete, "_OPENBLAS_THREADS", ())
+        monkeypatch.setattr(complete, "_controls", None)
+        banded, mask, _ = _banded(scenario_kernel("A", 1), 20, 0.5, seed=6)
+        with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
+            solve_fixed_rank(banded, mask, 1)
+            solve_fixed_rank(banded, mask, 1)
+        assert complete._openblas() == []
+        records = [r for r in caplog.records if r.getMessage().startswith("no bundled OpenBLAS")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "own thread count" in records[0].getMessage()

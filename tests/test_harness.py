@@ -272,28 +272,28 @@ def test_worker_count_env_override(monkeypatch):
 
 
 def _openblas_threads() -> list[int]:
-    from fragcov import harness
+    from fragcov import complete
 
-    return [get() for get, _ in harness._openblas()]
+    return [get() for get, _ in complete._openblas()]
 
 
 def test_replications_run_single_thread_blas():
-    from fragcov import harness
+    from fragcov import complete
 
     before = _openblas_threads()
     if not before:
         pytest.skip("numpy and scipy load no bundled OpenBLAS here")
     ones, twos = [1] * len(before), [2] * len(before)
-    harness._set_blas_threads(2)
+    complete._set_blas_threads(2)
     try:
-        with harness._single_thread_blas():
+        with complete._single_thread_blas():
             assert _openblas_threads() == ones
         assert _openblas_threads() == twos
-        with ProcessPoolExecutor(1, initializer=harness._set_blas_threads, initargs=(1,)) as pool:
+        with ProcessPoolExecutor(1, initializer=complete._set_blas_threads, initargs=(1,)) as pool:
             assert pool.submit(_openblas_threads).result(timeout=120) == ones
         assert _openblas_threads() == twos
     finally:
-        harness._set_blas_threads(before)
+        complete._set_blas_threads(before)
 
 
 _POOL_SCRIPT = """
@@ -318,18 +318,18 @@ _BLAS_SCRIPT = """
 import json, sys
 from pathlib import Path
 import fragcov
-from fragcov import harness
+from fragcov import complete
 
 assert "scipy" not in sys.modules
-set_threads, restored = harness._set_blas_threads, []
+set_threads, restored = complete._set_blas_threads, []
 
 def recording_set(counts):
     restored.append(counts)
     set_threads(counts)
 
-harness._set_blas_threads = recording_set
-with harness._single_thread_blas():
-    inside = [get() for get, _ in harness._openblas()]
+complete._set_blas_threads = recording_set
+with complete._single_thread_blas():
+    inside = [get() for get, _ in complete._openblas()]
 
 import numpy, scipy
 bundled = [p for m in (numpy, scipy) for p in Path(m.__file__).parent.with_name(m.__name__ + ".libs").glob("*openblas*")]
