@@ -36,8 +36,10 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_matrix(path) -> np.ndarray:
-    rows = []
+def _read_matrix(path, counts: bool = False) -> np.ndarray:
+    """The CSV's numeric rows; with counts, as integers, each entry a whole
+    number in [0, 2^53] (beyond that a float no longer holds every integer)."""
+    rows, linenos = [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -47,7 +49,15 @@ def _read_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: non-numeric entry in {line!r}") from exc
         if len(rows[-1]) != len(rows[0]):
             raise ValueError(f"{path}:{lineno}: {len(rows[-1])} entries, expected {len(rows[0])}")
-    return np.array(rows)
+        linenos.append(lineno)
+    matrix = np.array(rows)
+    if not counts:
+        return matrix
+    bad = ~((matrix >= 0) & (matrix <= 2.0**53) & (matrix == np.floor(matrix)))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{path}:{linenos[i]}: count {float(matrix[i, j])!r} is not a whole number in [0, 2^53]")
+    return matrix.astype(np.int64)
 
 
 def _scree_csv(sweep) -> str:
@@ -94,7 +104,7 @@ def _cmd_patch(args) -> int:
 
 def _load_patched(args) -> PatchedCovariance:
     values = _read_matrix(args.input)
-    counts = _read_matrix(args.counts).astype(int) if args.counts else None
+    counts = _read_matrix(args.counts, counts=True) if args.counts else None
     meta_path = Path(args.input).with_suffix(".json")
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     return PatchedCovariance(

@@ -62,7 +62,8 @@ class SolveConfig:
     method selects the quasi-Newton flavor: "lbfgs" (limited-memory, runs to
     tight tolerances, then a trust-ncg polish; the default) or "bfgs" (a
     dense inverse-Hessian BFGS loop, _bfgs, with scipy's line search and
-    stopping rules; with a modest max_iter it mirrors common quasi-Newton
+    stopping rules and the inverse Hessian updated in place with symmetric
+    level-2 BLAS; with a modest max_iter it mirrors common quasi-Newton
     defaults and is what the benchmark-table protocol uses).
     """
 
@@ -266,14 +267,13 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
 
         H <- H - rho (s (Hy)^T + (Hy) s^T) + (rho^2 y^T H y + rho) s s^T,
 
-    one n x 2 by 2 x n product. All of it runs on numpy's BLAS, as the
-    objective does: scipy.linalg.blas is a second OpenBLAS with its own thread
-    pool, and alternating the two lets each pool's idle-spinning workers take
-    the cores the other needs, so a replication's time jumped between about
-    1x and 3x from one call to the next on a 2-core machine. The solver entry
-    points also run both on one thread (_single_thread_blas), which stops
-    that contention where a descent must use scipy's BLAS (L-BFGS-B's setulb).
+    with scipy's symmetric level-2 BLAS on the upper triangle of a Fortran
+    array: dsymv for H g and H y, one dsyr2 and one dsyr for the update, and
+    no n x n scratch. scipy's BLAS is a second OpenBLAS with its own thread
+    pool; mixing it with numpy's (the objective's) is safe because the solver
+    entry points run both on one thread (_single_thread_blas).
     """
+    from scipy.linalg.blas import dsymv, dsyr, dsyr2
     from scipy.optimize import OptimizeResult
 
     # scipy's own BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used
@@ -299,13 +299,11 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     x = np.array(x0, dtype=float).ravel()
     fval, g = value_grad(x)
     old_old_fval = fval + np.linalg.norm(g) / 2
-    H = np.eye(x.size)
-    # rows s, Hy | a, b with s a^T + Hy b^T the rank-2 update; update is its product
-    uv, update = np.empty((4, x.size)), np.empty_like(H)
+    H = np.eye(x.size, order="F")  # only the upper triangle is read and written
     k, status = 0, 0
     gnorm = np.max(np.abs(g))
     while gnorm > gtol and k < max_iter:
-        p = -(H @ g)
+        p = dsymv(-1.0, H, g)
         try:
             alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
                 value, grad, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9
@@ -328,12 +326,10 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
             break
         sy = np.dot(y, s)
         rho = 1000.0 if sy == 0.0 else 1.0 / sy
-        hy = H @ y
-        uv[0], uv[1] = s, hy
-        uv[2] = (rho * rho * np.dot(y, hy) + rho) * s - rho * hy
-        uv[3] = -rho * s
-        np.matmul(uv[:2].T, uv[2:], out=update)
-        H += update
+        hy = dsymv(1.0, H, y)
+        # f2py returns H itself when it can update in place
+        H = dsyr2(-rho, s, hy, a=H, overwrite_a=True)
+        H = dsyr(rho * rho * np.dot(y, hy) + rho, s, a=H, overwrite_a=True)
     if status == 0 and k >= max_iter:
         status = 1
     elif status == 0 and (np.isnan(gnorm) or np.isnan(fval) or np.isnan(x).any()):

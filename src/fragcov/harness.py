@@ -214,7 +214,10 @@ def _replicate_worker(args):
 def _worker_count() -> int:
     env = os.environ.get("FRAGCOV_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"FRAGCOV_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

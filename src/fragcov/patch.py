@@ -99,9 +99,14 @@ def patched_regular(sample: FragmentSample) -> PatchedCovariance:
     n = sample.n
     avail = np.zeros((n, K))
     vals = np.zeros((n, K))
-    for i, (idx, v) in enumerate(zip(sample.grid_indices, sample.values)):
-        avail[i, idx] = 1.0
-        vals[i, idx] = v
+    if n:
+        sizes = [len(idx) for idx in sample.grid_indices]
+        if sizes != [len(v) for v in sample.values]:
+            raise ValueError("grid_indices and values must align per curve")
+        rows = np.repeat(np.arange(n), sizes)
+        cols = np.concatenate(sample.grid_indices)
+        avail[rows, cols] = 1.0
+        vals[rows, cols] = np.concatenate(sample.values)
     entries, counts = _pairwise_completed(vals, avail)
     return PatchedCovariance(
         matrix=SymMatrix(entries, counts.astype(int)),

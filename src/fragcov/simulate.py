@@ -164,20 +164,21 @@ def fragment(values: np.ndarray, grid: Grid, law: FragmentLaw, seed: SeedLike = 
         raise ValueError("value columns must match the grid resolution")
     rng = as_generator(seed)
     intervals = law.draw(n, rng)
-    times, vals, indices = [], [], []
-    for i in range(n):
-        s, d = intervals[i]
-        idx = np.nonzero((grid.points >= s) & (grid.points <= s + d))[0]
-        times.append(grid.points[idx])
-        vals.append(values[i, idx])
-        indices.append(idx)
+    start = intervals[:, :1]
+    inside = (grid.points >= start) & (grid.points <= start + intervals[:, 1:])
+    rows, cols = np.nonzero(inside)
+    ends = np.cumsum(np.count_nonzero(inside, axis=1))
+
+    def per_curve(flat):  # the piece after the last end is empty
+        return tuple(np.split(flat, ends)[:-1])
+
     return FragmentSample(
-        times=tuple(times),
-        values=tuple(vals),
+        times=per_curve(grid.points[cols]),
+        values=per_curve(values[rows, cols]),
         intervals=intervals,
         grid_type="common",
         grid=grid,
-        grid_indices=tuple(indices),
+        grid_indices=per_curve(cols),
     )
 
 

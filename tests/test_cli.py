@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from fragcov import cli
 from fragcov.cli import main
 from fragcov import CompletionError, select_rank
 from fragcov.complete import RankSweepResult
@@ -108,6 +111,29 @@ class TestMalformedInput:
                        "--rank", "1", "--out", str(tmp_path / "o.csv")])
         assert status == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
+    # a fraction was truncated, and 1e30 overflowed the integer cast
+    @pytest.mark.parametrize("entry", ["8254.5", "1e30", "-1", "nan", "inf", "9007199254740994"])
+    def test_counts_must_be_whole_numbers(self, tmp_path, capsys, entry):
+        values, counts = tmp_path / "values.csv", tmp_path / "counts.csv"
+        values.write_text("1.0,0.5\n0.5,1.0\n")
+        counts.write_text(f"2,1\n\n1,{entry}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["complete", "--input", str(values), "--counts", str(counts),
+                           "--rank", "1", "--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {counts}:3: count ")
+        assert err.rstrip().endswith("is not a whole number in [0, 2^53]")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_whole_counts_load_unchanged(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("4,2.0,0\n2.0,1e3,9007199254740992\n0,9007199254740992,7\n")
+        counts = cli._read_matrix(path, counts=True)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, [[4, 2, 0], [2, 1000, 2**53], [0, 2**53, 7]])
 
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",

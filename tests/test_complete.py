@@ -491,6 +491,18 @@ def _k200_patched():
     return patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.5), seed=2))
 
 
+_TABLE_PROTOCOL = SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8, rank_policy="fixed:3")
+
+
+@lru_cache(maxsize=None)
+def _k100_patched():
+    """Patched scenario A rank-3 matrix as in the T7 table cell: K=100, 200
+    fragments of length 0.5."""
+    grid = Grid.perturbed(100, seed=0)
+    paths = sample_gp(evaluate_on_grid(scenario_kernel("A", 3), grid), n=200, seed=1)
+    return patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.5), seed=2))
+
+
 class TestSingleThreadBlas:
     """Every solve runs the bundled OpenBLAS on one thread and restores the
     caller's counts; nested pins do nothing."""
@@ -533,6 +545,7 @@ class TestSingleThreadBlas:
         ones = [1] * len(two_threads)
         for solve in (
             lambda: solve_fixed_rank(banded, mask, 2),
+            lambda: solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)),
             lambda: rank_sweep(banded, mask, SolveConfig(max_rank_sweep=4), until="elbow"),
             lambda: estimate_covariance(banded, SolveConfig(rank_policy="elbow", max_rank_sweep=4), mask=mask),
         ):
@@ -540,6 +553,17 @@ class TestSingleThreadBlas:
             solve()
             assert seen and all(counts == ones for counts in seen)
             assert self._counts() == two_threads
+
+    def test_table_protocol_independent_of_the_caller_thread_count(self, two_threads):
+        # _bfgs updates its inverse Hessian on scipy's OpenBLAS, numpy's runs the objective
+        patched = _k100_patched()
+        at_two = estimate_covariance(patched, _TABLE_PROTOCOL).matrix.values.tobytes()
+        assert self._counts() == two_threads
+        complete._set_blas_threads(1)
+        at_one = estimate_covariance(patched, _TABLE_PROTOCOL).matrix.values.tobytes()
+        assert self._counts() == [1] * len(two_threads)
+        complete._set_blas_threads(2)
+        assert at_two == at_one
 
     def test_run_cell_pins_once(self, two_threads, monkeypatch):
         calls = []

@@ -267,6 +267,10 @@ def test_worker_count_env_override(monkeypatch):
     assert _worker_count() == 3
     monkeypatch.setenv("FRAGCOV_THREADS", "0")
     assert _worker_count() == 1
+    for bad in ("abc", "2.5", "1e3"):
+        monkeypatch.setenv("FRAGCOV_THREADS", bad)
+        with pytest.raises(ValueError, match=f"^FRAGCOV_THREADS must be an integer, got '{bad}'$"):
+            _worker_count()
     monkeypatch.delenv("FRAGCOV_THREADS")
     assert _worker_count() >= 1
 

@@ -14,6 +14,8 @@ from fragcov import (
     sample_gp,
     scenario_kernel,
 )
+from fragcov.core import as_generator
+from fragcov.patch import _pairwise_completed
 from fragcov.simulate import FragmentSample, add_noise
 
 
@@ -112,6 +114,79 @@ class TestPatchedRegular:
                 errs.append(np.abs((patched.values - truth.values))[mask.include].max())
             meds.append(np.median(errs))
         assert meds[0] > meds[1] > meds[2]
+
+
+def _fragment_per_curve(values, grid, law, seed):
+    """fragment's intervals, times, values and indices, one curve at a time."""
+    intervals = law.draw(len(values), as_generator(seed))
+    times, vals, indices = [], [], []
+    for i, (s, d) in enumerate(intervals):
+        idx = np.nonzero((grid.points >= s) & (grid.points <= s + d))[0]
+        times.append(grid.points[idx])
+        vals.append(values[i, idx])
+        indices.append(idx)
+    return intervals, times, vals, indices
+
+
+def _patched_per_curve(sample):
+    """patched_regular's entries and counts, filling one curve at a time."""
+    avail = np.zeros((sample.n, sample.grid.resolution))
+    vals = np.zeros_like(avail)
+    for i, (idx, v) in enumerate(zip(sample.grid_indices, sample.values)):
+        avail[i, idx] = 1.0
+        vals[i, idx] = v
+    return _pairwise_completed(vals, avail)
+
+
+class TestCommonGridMatchesPerCurveLoop:
+    """fragment and patched_regular fill every curve at once; their output is
+    bit-identical to filling one curve at a time."""
+
+    # K=4 with length 0.1 leaves some curves without a grid point; the 0..1
+    # grid has points on the ends of the intervals clipped to [0, 1]
+    @pytest.mark.parametrize(
+        "K, delta, ends_on_grid",
+        [(4, (0.1, 0.1), False), (20, (0.3, 0.8), False), (100, (0.2, 0.6), False), (21, (0.5, 0.5), True)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical(self, K, delta, ends_on_grid, seed):
+        grid = Grid(np.linspace(0.0, 1.0, K), K) if ends_on_grid else Grid.perturbed(K, seed=seed)
+        values = sample_gp(evaluate_on_grid(scenario_kernel("A", 2), grid), 60, seed=seed + 1)
+        law = FragmentLaw(*delta)
+        sample = fragment(values, grid, law, seed=seed + 2)
+        intervals, times, vals, indices = _fragment_per_curve(values, grid, law, seed + 2)
+        assert np.array_equal(sample.intervals, intervals)
+        assert len(sample.times) == len(sample.values) == len(sample.grid_indices) == 60
+        for got, want in zip((sample.times, sample.values, sample.grid_indices), (times, vals, indices)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        if K == 4:
+            assert any(idx.size == 0 for idx in sample.grid_indices)
+        if ends_on_grid:
+            assert any(idx[0] == 0 for idx in indices) and any(idx[-1] == K - 1 for idx in indices)
+        patched = patched_regular(sample)
+        entries, counts = _patched_per_curve(sample)
+        assert np.array_equal(patched.values, entries)
+        assert np.array_equal(patched.counts, counts.astype(int))
+
+    def test_no_curves(self):
+        grid = Grid.regular(10)
+        sample = fragment(np.zeros((0, 10)), grid, FragmentLaw.fixed(0.5), seed=1)
+        assert sample.n == 0 and sample.grid_indices == ()
+        patched = patched_regular(sample)
+        assert np.all(patched.values == 0.0) and np.all(patched.counts == 0)
+
+    def test_misaligned_indices_are_rejected(self):
+        grid = Grid.regular(6)
+        sample = FragmentSample(
+            times=(grid.points[1:3], grid.points[2:5]),
+            values=(np.ones(2), np.ones(3)),
+            intervals=np.array([[0.2, 0.3], [0.3, 0.5]]),
+            grid=grid,
+            grid_indices=(np.arange(1, 4), np.arange(2, 4)),
+        )
+        with pytest.raises(ValueError, match="align"):
+            patched_regular(sample)
 
 
 class TestPatchedBinned:
