@@ -115,14 +115,14 @@ def _load_patched(args) -> PatchedCovariance:
 
 
 def _cmd_complete(args) -> int:
-    patched = _load_patched(args)
     if args.rank != "auto":
-        rank_policy = f"fixed:{int(args.rank)}"
+        rank_policy = f"fixed:{args.rank}"
     elif args.tau is not None:
         rank_policy = f"penalty:{args.tau}"
     else:
         rank_policy = f"elbow:{args.elbow_eps}"
     cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
+    patched = _load_patched(args)
     estimate = estimate_covariance(patched, cfg)
     _write_matrix(args.out, estimate.matrix.values)
     if args.scree_out:

@@ -59,12 +59,13 @@ class SolveConfig:
     """Optimizer and rank-selection settings.
 
     grad_tol of None means the default 1e-9 / K^2 gradient-norm threshold.
-    method selects the quasi-Newton flavor: "lbfgs" (limited-memory, runs to
-    tight tolerances, then a trust-ncg polish; the default) or "bfgs" (a
-    dense inverse-Hessian BFGS loop, _bfgs, with scipy's line search and
-    stopping rules and the inverse Hessian updated in place with symmetric
-    level-2 BLAS; with a modest max_iter it mirrors common quasi-Newton
-    defaults and is what the benchmark-table protocol uses).
+    method selects the quasi-Newton flavor: "lbfgs" (scipy's limited-memory
+    L-BFGS-B, run to tight tolerances; the default) or "bfgs" (a dense
+    inverse-Hessian BFGS loop, _bfgs, with scipy's line search and stopping
+    rules and the inverse Hessian updated in place with symmetric level-2
+    BLAS; with a modest max_iter it mirrors common quasi-Newton defaults and
+    is what the benchmark-table protocol uses). rank_policy is checked by
+    parse_rank_policy when the config is built.
     """
 
     max_rank_sweep: int | None = None
@@ -74,6 +75,9 @@ class SolveConfig:
     method: str = "lbfgs"
     rank_policy: str = "elbow"
     seed: int = 0
+
+    def __post_init__(self):
+        parse_rank_policy(self.rank_policy)
 
     def gtol(self, K: int) -> float:
         return self.grad_tol if self.grad_tol is not None else 1e-9 / (K * K)
@@ -346,8 +350,8 @@ def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int,
 
     if method == "bfgs":
         res = _bfgs(fun, x0, gtol, max_iter)
-        _log.debug("descent method=bfgs nit=%d nfev=%d converged=%s", res.nit, res.nfev, res.success)
     else:
+        method = "lbfgs"
         res = minimize(
             fun,
             x0,
@@ -355,49 +359,10 @@ def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int,
             method="L-BFGS-B",
             options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20},
         )
-        best = _newton_polish(res, fun, shape, target, include)
-        _log.debug(
-            "descent method=lbfgs nit=%d nfev=%d converged=%s polish_kept=%s",
-            res.nit, res.nfev, res.success, best is not res,
-        )
-        res = best
+    _log.debug("descent method=%s nit=%d nfev=%d converged=%s", method, res.nit, res.nfev, res.success)
     if not np.isfinite(res.fun):
         raise CompletionError("diverged: non-finite objective during descent")
     return res.x.reshape(K, r), float(res.fun)
-
-
-def _newton_polish(res, fun, shape, target, include):
-    """Second-order cleanup after quasi-Newton descent.
-
-    Badly scaled spectra (a component orders of magnitude below the
-    leading one) stall a first-order line search well above the true
-    minimum; a few trust-region Newton steps with exact Hessian-vector
-    products reach it. Keeps whichever result is better.
-    """
-    K, r = shape
-
-    def hessp(x, d):
-        gamma = x.reshape(K, r)
-        direction = d.reshape(K, r)
-        cross = gamma @ direction.T
-        sym = np.where(include, cross + cross.T, 0.0)
-        residual = np.where(include, gamma @ gamma.T - target, 0.0)
-        return (4.0 / (K * K)) * (sym @ gamma + residual @ direction).ravel()
-
-    try:
-        polished = minimize(
-            fun,
-            res.x,
-            jac=True,
-            hessp=hessp,
-            method="trust-ncg",
-            options={"maxiter": 200, "gtol": 1e-14},
-        )
-    except Exception:  # pragma: no cover - scipy internal failures fall back
-        return res
-    if np.isfinite(polished.fun) and polished.fun <= res.fun:
-        return polished
-    return res
 
 
 @_single_thread_blas()
@@ -522,19 +487,31 @@ def rank_sweep(
     return sweep
 
 
+# each policy's argument: its type, the values it may take, and how to say so
+_POLICY_ARGS = {
+    "fixed": (int, lambda q: q >= 1, "an integer q >= 1, as in 'fixed:3'"),
+    "elbow": (float, lambda eps: 0 < eps < np.inf, "a finite eps > 0, as in 'elbow:0.01'"),
+    "penalty": (float, lambda tau: 0 <= tau < np.inf, "a finite tau >= 0, as in 'penalty:0.001'"),
+}
+
+
 def parse_rank_policy(policy: str) -> tuple[str, float]:
-    """Parse 'fixed:q', 'elbow[:eps]' (eps defaults to 0.01) or 'penalty:tau'."""
+    """Parse 'fixed:q' (an integer q >= 1), 'elbow[:eps]' (a finite eps > 0,
+    0.01 by default) or 'penalty:tau' (a finite tau >= 0). Anything else
+    raises ValueError naming the policy: an elbow that is never met or a
+    negative penalty would sweep to the bound."""
     name, _, arg = str(policy).partition(":")
     name = name.lower()
-    if name == "fixed":
-        return "fixed", int(arg)
-    if name == "elbow":
-        return "elbow", float(arg) if arg else 0.01
-    if name == "penalty":
-        if not arg:
-            raise ValueError("penalty policy needs a tau value, as in 'penalty:0.001'")
-        return "penalty", float(arg)
-    raise ValueError(f"unknown rank policy {policy!r}")
+    if name not in _POLICY_ARGS:
+        raise ValueError(f"unknown rank policy {policy!r}")
+    kind, valid, needs = _POLICY_ARGS[name]
+    try:
+        value = kind(arg) if arg or name != "elbow" else 0.01
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ValueError(f"rank policy {policy!r}: {name} needs {needs}")
+    return name, value
 
 
 def select_rank(sweep: RankSweepResult, policy: str = "elbow") -> int:

@@ -79,7 +79,7 @@ class ExperimentConfig:
     seed: int = 0
     # Table protocol: fragcov's dense BFGS loop (complete._bfgs, scipy's line
     # search and stopping rules) with a conventional iteration budget; the
-    # library-level SolveConfig default (L-BFGS + polish) runs much deeper.
+    # library-level SolveConfig default (L-BFGS-B) runs much deeper.
     solve: SolveConfig = field(
         default_factory=lambda: SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)
     )

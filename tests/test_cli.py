@@ -135,6 +135,14 @@ class TestMalformedInput:
         assert counts.dtype == np.int64
         assert np.array_equal(counts, [[4, 2, 0], [2, 1000, 2**53], [0, 2**53, 7]])
 
+    # the policy is checked before the input is read (it does not exist here)
+    @pytest.mark.parametrize("flags, policy", [(["--tau", "-1"], "penalty:-1.0"), (["--elbow-eps", "0"], "elbow:0.0"),
+                                               (["--rank", "x"], "fixed:x"), (["--rank", "0"], "fixed:0")])
+    def test_malformed_rank_policy_exits_2(self, tmp_path, capsys, flags, policy):
+        status = main(["complete", "--input", str(tmp_path / "absent.csv"), *flags, "--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"error: rank policy '{policy}': ")
+
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
                        "--out", str(tmp_path / "s.csv")])

@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -174,6 +175,14 @@ class TestSolveFixedRank:
         assert fit1 == fit2
         assert np.array_equal(f1.gamma, f2.gamma)
 
+    def test_badly_scaled_spectrum_recovered(self):
+        # second eigenvalue 1e-6 of the first: one L-BFGS-B descent still
+        # recovers the truth far below the component's share of the matrix
+        kernel = MercerKernel((1.5, 1e-6), BALANCED_RANK3.eigenfunctions[:2])
+        banded, mask, truth = _banded(kernel, 30, 0.5, seed=0)
+        factor, _ = solve_fixed_rank(banded, mask, 2)
+        assert np.linalg.norm(factor.matrix() - truth) / np.linalg.norm(truth) < 1e-5
+
 
 def _table_problem(K, r, seed):
     """Objective and eigen start of a table-protocol fit: patched scenario A
@@ -225,13 +234,25 @@ class TestDenseBFGS:
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == "descent method=bfgs nit=5 nfev=6 converged=False"
 
-    def test_lbfgs_descent_logs_the_polish(self, caplog):
+    def test_lbfgs_descends_once_per_start(self, caplog, monkeypatch):
+        results, methods = [], []
+        scipy_minimize = complete.minimize
+
+        def recording(fun, x0, **options):
+            methods.append(options.get("method"))
+            results.append(scipy_minimize(fun, x0, **options))
+            return results[-1]
+
+        monkeypatch.setattr(complete, "minimize", recording)
         banded, mask, _ = _banded(scenario_kernel("A", 1), 20, 0.5, seed=6)
         with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
             solve_fixed_rank(banded, mask, 1)
+        (res,) = results
         (record,) = [r for r in caplog.records if r.name == "fragcov.complete"]
-        assert record.getMessage().startswith("descent method=lbfgs nit=")
-        assert "converged=True polish_kept=" in record.getMessage()
+        assert record.getMessage() == f"descent method=lbfgs nit={res.nit} nfev={res.nfev} converged=True"
+        methods.clear()
+        solve_fixed_rank(banded, mask, 1, SolveConfig(restarts=3))
+        assert methods == ["L-BFGS-B"] * 3
 
 
 class TestRankSweep:
@@ -270,8 +291,8 @@ def _select_with_warnings_off(sweep, policy):
 
 
 _POLICIES = st.one_of(
-    st.floats(-0.1, 1.5).map(lambda eps: f"elbow:{eps!r}"),
-    st.one_of(st.just(0.0), st.floats(-1.0, 5.0)).map(lambda tau: f"penalty:{tau!r}"),
+    st.floats(0.0, 1.5, exclude_min=True).map(lambda eps: f"elbow:{eps!r}"),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)).map(lambda tau: f"penalty:{tau!r}"),
 )
 
 
@@ -380,6 +401,27 @@ class TestSelectRank:
             parse_rank_policy("magic:3")
         with pytest.raises(ValueError):
             select_rank(self._toy_sweep([0.5]), "penalty")
+
+    # a threshold that can never be met (elbow eps <= 0, a negative penalty)
+    # would sweep to the bound; a bad q would fail inside every solve
+    @pytest.mark.parametrize("policy", [
+        "fixed:-1", "fixed:0", "fixed:x", "fixed:2.5", "fixed:",
+        "elbow:0", "elbow:-1", "elbow:nan", "elbow:inf",
+        "penalty:-0.5", "penalty:inf", "penalty:nan", "penalty",
+    ])
+    def test_malformed_policy_rejected(self, policy):
+        with pytest.raises(ValueError, match=f"rank policy {re.escape(repr(policy))}: "):
+            parse_rank_policy(policy)
+        with pytest.raises(ValueError, match=re.escape(repr(policy))):
+            SolveConfig(rank_policy=policy)
+
+    @pytest.mark.parametrize("policy, parsed", [
+        ("fixed:1", ("fixed", 1)), ("elbow", ("elbow", 0.01)), ("ELBOW:1e-9", ("elbow", 1e-9)),
+        ("elbow:1.5", ("elbow", 1.5)), ("penalty:0", ("penalty", 0.0)), ("penalty:2e-4", ("penalty", 2e-4)),
+    ])
+    def test_valid_policy_parsed(self, policy, parsed):
+        assert parse_rank_policy(policy) == parsed
+        assert SolveConfig(rank_policy=policy).rank_policy == policy
 
 
 class TestEstimateCovariance:

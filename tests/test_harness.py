@@ -155,6 +155,15 @@ class TestConfigJson:
         explicit = ExperimentConfig(**{**SMALL, "solve": SolveConfig(rank_policy="elbow")})
         assert explicit.solve.rank_policy == "fixed:1"
 
+    @pytest.mark.parametrize("policy", ["penalty:-1", "fixed:x", "elbow:0"])
+    def test_malformed_rank_policy_rejected_when_built(self, policy):
+        with pytest.raises(ValueError, match=f"rank policy '{policy}'"):
+            ExperimentConfig(**{**SMALL, "rank_policy": policy})
+        payload = json.loads(ExperimentConfig(**SMALL).to_json())
+        payload["rank_policy"] = payload["solve"]["rank_policy"] = policy
+        with pytest.raises(ValueError, match=f"rank policy '{policy}'"):
+            ExperimentConfig.from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("where, key", [(None, "placement"), ("solve", "tau")])
     def test_unknown_key_rejected(self, where, key):
         payload = json.loads(ExperimentConfig(kernel="scenarioA:1").to_json())

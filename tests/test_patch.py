@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragcov import (
     FragmentLaw,
@@ -304,3 +308,71 @@ class TestEffectiveMask:
         patched = patched_regular(one)
         with pytest.raises(ValueError, match="mask exceeds data support"):
             effective_mask(patched, 0.9)
+
+
+def _invariance_sample(binned, n, K, delta, seed):
+    """A scenario A rank-2 sample: common-grid fragments, or type-2 fragments
+    binned into K cells. Returns it with its patching function."""
+    law = FragmentLaw(*delta)
+    if binned:
+        sample = fragment_irregular(scenario_kernel("A", 2), n, law, "type2", base_resolution=20, seed=seed)
+        return sample, lambda s: patched_binned(s, K)
+    return _common_sample(n=n, K=K, delta=delta, seed=seed)[0], patched_regular
+
+
+def _assert_close(got, want, scale):
+    """Entrywise |got - want| <= 1e-12 * scale, scale the size of the terms
+    the entries are computed from."""
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+_SAMPLES = dict(
+    binned=st.booleans(),
+    n=st.integers(5, 40),
+    K=st.integers(3, 16),
+    delta=st.tuples(st.floats(0.3, 0.95), st.floats(0.0, 0.3)).map(lambda d: (d[0], min(d[0] + d[1], 0.99))),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestPatchedInvariances:
+    """patched_regular and patched_binned depend on the curves as a set, are
+    quadratic in the values, and centre by pair-specific means."""
+
+    @given(**_SAMPLES)
+    @settings(max_examples=60, deadline=None)
+    def test_curve_permutation(self, binned, n, K, delta, seed):
+        sample, patch = _invariance_sample(binned, n, K, delta, seed)
+        perm = np.random.default_rng(seed).permutation(sample.n)
+        permuted = replace(
+            sample,
+            times=tuple(sample.times[i] for i in perm),
+            values=tuple(sample.values[i] for i in perm),
+            intervals=sample.intervals[perm],
+            grid_indices=None if sample.grid_indices is None else tuple(sample.grid_indices[i] for i in perm),
+            curve_ids=tuple(sample.curve_ids[i] for i in perm),
+        )
+        a, b = patch(sample), patch(permuted)
+        assert np.array_equal(a.counts, b.counts)
+        _assert_close(b.values, a.values, np.abs(a.values).max())
+
+    @given(**_SAMPLES, c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_values_scales_by_c_squared(self, binned, n, K, delta, seed, c):
+        sample, patch = _invariance_sample(binned, n, K, delta, seed)
+        a = patch(sample)
+        b = patch(replace(sample, values=tuple(c * v for v in sample.values)))
+        assert np.array_equal(a.counts, b.counts)
+        _assert_close(b.values, c * c * a.values, c * c * np.abs(a.values).max())
+
+    @given(**_SAMPLES, shift=st.floats(-10.0, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_constant_shift_cancels(self, binned, n, K, delta, seed, shift):
+        sample, patch = _invariance_sample(binned, n, K, delta, seed)
+        shifted = replace(sample, values=tuple(v + shift for v in sample.values))
+        a, b = patch(sample), patch(shifted)
+        assert np.array_equal(a.counts, b.counts)
+        # each entry is a mean product minus a product of means, both of the
+        # size of the squared shifted values; only their rounding remains
+        largest = max(np.abs(v).max(initial=0.0) for v in shifted.values)
+        _assert_close(b.values, a.values, max(np.abs(a.values).max(), largest**2))
