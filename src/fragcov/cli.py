@@ -115,12 +115,16 @@ def _load_patched(args) -> PatchedCovariance:
 
 
 def _cmd_complete(args) -> int:
+    given = [flag for flag, on in (("--rank", args.rank != "auto"), ("--tau", args.tau is not None),
+                                   ("--elbow-eps", args.elbow_eps is not None)) if on]
+    if len(given) > 1:
+        raise ValueError(f"{given[0]} and {given[1]} conflict: give one rank rule")
     if args.rank != "auto":
         rank_policy = f"fixed:{args.rank}"
     elif args.tau is not None:
         rank_policy = f"penalty:{args.tau}"
     else:
-        rank_policy = f"elbow:{args.elbow_eps}"
+        rank_policy = f"elbow:{0.01 if args.elbow_eps is None else args.elbow_eps}"
     cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
     patched = _load_patched(args)
     estimate = estimate_covariance(patched, cfg)
@@ -194,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None, help="counts CSV")
     p.add_argument("--delta-prime", type=float, default=None)
     p.add_argument("--rank", default="auto", help="'auto' or an explicit rank")
-    p.add_argument("--elbow-eps", type=float, default=0.01)
+    p.add_argument("--elbow-eps", type=float, default=None, help="elbow threshold (default 0.01)")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

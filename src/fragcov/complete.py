@@ -105,10 +105,6 @@ class LowRankFactor:
     def K(self) -> int:
         return self.gamma.shape[0]
 
-    @property
-    def columns(self) -> int:
-        return self.gamma.shape[1]
-
     def matrix(self) -> np.ndarray:
         m = self.gamma @ self.gamma.T
         return 0.5 * (m + m.T)
@@ -438,7 +434,7 @@ class RankSweepResult:
 
 @_single_thread_blas()
 def rank_sweep(
-    target, mask: BandMask, config: SolveConfig | None = None, until: str | None = None
+    target, mask: BandMask, config: SolveConfig | None = None, until: str | None = None, rng: SeedLike = None
 ) -> RankSweepResult:
     """Solve the masked fit for each candidate rank, warm-starting upward.
 
@@ -451,7 +447,8 @@ def rank_sweep(
     elbow or penalty policy, the sweep stops at the first rank where
     select_rank's answer under that policy is decided (see _rank_decided);
     the ranks it visits get the same fits and factors as in the full sweep,
-    because every rank draws its starts from one generator in rank order. Each sweep logs one DEBUG record
+    because every rank draws its starts from one generator in rank order:
+    rng, else one seeded from config.seed. Each sweep logs one DEBUG record
     on the fragcov.complete logger: sweep policy=... visited=... bound=...
     """
     config = config or SolveConfig()
@@ -459,7 +456,7 @@ def rank_sweep(
         raise ValueError(f"a sweep stops under elbow or penalty, not {until!r}: fixed:q solves rank q alone")
     tvals = _target_values(target)
     K = tvals.shape[0]
-    rng = as_generator(config.seed)
+    rng = as_generator(config.seed if rng is None else rng)
     bound = min(config.sweep_bound(mask), K)
     base_fit = objective(np.zeros((K, 1)), tvals, mask)
 
@@ -600,6 +597,7 @@ def estimate_covariance(
     mask) or any symmetric matrix if a mask is given explicitly. Under elbow
     and penalty the sweep runs only until config.rank_policy has decided the
     rank; the rank, fit and factor equal those selected from a full sweep.
+    rng drives the solve's starts under every policy (config.seed if None).
     """
     from .patch import PatchedCovariance, effective_mask
 
@@ -616,7 +614,7 @@ def estimate_covariance(
         rank = int(value)
         factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
     else:
-        sweep = rank_sweep(tvals, mask, config, until=config.rank_policy)
+        sweep = rank_sweep(tvals, mask, config, until=config.rank_policy, rng=rng)
         rank = select_rank(sweep, config.rank_policy)
         factor = sweep.factors[rank - 1]
         fit = float(sweep.fits[rank - 1])

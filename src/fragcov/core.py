@@ -94,9 +94,6 @@ class BandMask:
         """Largest excluded offset bound: entries with |j-l| < half_width are in-band."""
         return int(np.floor(self.K * self.delta)) - 1
 
-    def selected(self) -> int:
-        return int(self.include.sum())
-
 
 def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
     """Band inclusion mask: entry (j, l) selected iff |j - l| < floor(K*delta) - 1.

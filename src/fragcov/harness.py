@@ -187,8 +187,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
             if config.K is not None:
                 K = config.K
             else:
-                quotas = np.array([t.size for t in sample.times])
-                K = max(2, int(round(4.0 * quotas.sum() / (5.0 * config.n))))
+                K = max(2, int(round(4.0 * sample.t.size / (5.0 * config.n))))
             truth = evaluate_on_grid(kernel, (np.arange(K) + 0.5) / K)
         patched = patched_binned(sample, K)
     else:
@@ -421,15 +420,17 @@ def ingest_fragments(path) -> FragmentSample:
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())
 
-    ids, times, values = [], [], []
+    ids, sizes, times, values = [], [], [], []
     for cid, rows in by_curve.items():
         if len(rows) < 2:
             warnings.warn(f"curve {cid!r} has fewer than 2 points; dropped")
             continue
         ts = sorted(rows)
         ids.append(cid)
-        times.append(np.array(ts))
-        values.append(np.array([rows[t] for t in ts]))
+        sizes.append(len(ts))
+        times.extend(ts)
+        values.extend(rows[t] for t in ts)
+    t, sizes = np.array(times, dtype=float), np.array(sizes, dtype=np.intp)
 
     entries = meta.get("intervals", []) if meta else []
     if entries and all("curve_id" in e for e in entries):
@@ -442,16 +443,19 @@ def ingest_fragments(path) -> FragmentSample:
         missing = [cid for cid in ids if cid not in by_id]
         if missing:
             raise ValueError(f"{sidecar_path}: no interval for curve {missing[0]!r}")
-        intervals = np.array([[by_id[cid]["start"], by_id[cid]["delta"]] for cid in ids])
+        intervals = np.array([[by_id[cid]["start"], by_id[cid]["delta"]] for cid in ids]).reshape(-1, 2)
         grid_type = meta.get("grid_type", "type2")
         noise_sd = float(meta.get("noise_sd", 0.0))
     else:
-        intervals = np.array([[t.min(), t.max() - t.min()] for t in times])
+        ends = np.cumsum(sizes)
+        first, last = t[ends - sizes], t[ends - 1]
+        intervals = np.column_stack([first, last - first])
         grid_type = "type2"
         noise_sd = 0.0
     return FragmentSample(
-        times=tuple(times),
-        values=tuple(values),
+        t=t,
+        x=np.array(values, dtype=float),
+        sizes=sizes,
         intervals=intervals,
         grid_type=grid_type,
         noise_sd=noise_sd,

@@ -110,10 +110,9 @@ class MaternKernel(Kernel):
 
 @dataclass(frozen=True)
 class StationaryKernel(Kernel):
-    """Kernel r(s,t) = psi(s - t) driven by a lag function on some interval."""
+    """Kernel r(s,t) = psi(s - t) driven by a lag function."""
 
     lag_function: Callable[[np.ndarray], np.ndarray]
-    interval: tuple = (0.0, 1.0)
 
     def __call__(self, s, t):
         s = np.asarray(s, dtype=float)
@@ -211,7 +210,7 @@ def counterexample_bump_pair(lam: float) -> tuple[Kernel, Kernel]:
     return k1, _CallableKernel(second)
 
 
-def esseen_pair(interval: tuple = (-math.pi, math.pi)) -> tuple[StationaryKernel, StationaryKernel]:
+def esseen_pair() -> tuple[StationaryKernel, StationaryKernel]:
     """Stationary pair agreeing for lags below 1 and differing on lags in (1, 2).
 
     The first member is the exponential kernel exp(-|u|) of an
@@ -229,10 +228,7 @@ def esseen_pair(interval: tuple = (-math.pi, math.pi)) -> tuple[StationaryKernel
         linear = e1 - e1 * (u - 1.0)
         return np.where(u < 1.0, np.exp(-u), np.where(u < 2.0, linear, 0.0))
 
-    return (
-        StationaryKernel(psi1, interval=interval),
-        StationaryKernel(psi2, interval=interval),
-    )
+    return StationaryKernel(psi1), StationaryKernel(psi2)
 
 
 def evaluate_on_grid(kernel: Kernel, grid) -> SymMatrix:

@@ -86,6 +86,20 @@ def default_delta_prime(sample: FragmentSample) -> float | None:
     return trusted_delta_prime(sample.intervals[:, 1])
 
 
+def _patched(sample: FragmentSample, K: int, columns: np.ndarray) -> PatchedCovariance:
+    """Patched covariance over K columns, observation k falling in columns[k].
+
+    One bincount over curve * K + column gives each curve's per-column
+    observation counts, a second one its per-column value sums; all ordered
+    within-curve observation pairs then aggregate via outer products.
+    """
+    cells = np.repeat(np.arange(sample.n), sample.sizes) * K + columns
+    occ = np.bincount(cells, minlength=sample.n * K).reshape(sample.n, K).astype(float)
+    acc = np.bincount(cells, weights=sample.x, minlength=sample.n * K).reshape(sample.n, K)
+    entries, counts = _pairwise_completed(acc, occ)
+    return PatchedCovariance(SymMatrix(entries, counts.astype(int)), default_delta_prime(sample), sample.noise_sd > 0)
+
+
 def patched_regular(sample: FragmentSample) -> PatchedCovariance:
     """Patched covariance of a common-grid sample, K x K for its K grid points.
 
@@ -93,26 +107,9 @@ def patched_regular(sample: FragmentSample) -> PatchedCovariance:
     curves observing both t_j and t_l, where m_j, m_l are the means over
     exactly those curves. Unobserved pairs are zero-filled.
     """
-    if sample.grid is None or sample.grid_indices is None:
+    if sample.columns is None:
         raise ValueError("patched_regular needs a sample on a common grid")
-    K = sample.grid.resolution
-    n = sample.n
-    avail = np.zeros((n, K))
-    vals = np.zeros((n, K))
-    if n:
-        sizes = [len(idx) for idx in sample.grid_indices]
-        if sizes != [len(v) for v in sample.values]:
-            raise ValueError("grid_indices and values must align per curve")
-        rows = np.repeat(np.arange(n), sizes)
-        cols = np.concatenate(sample.grid_indices)
-        avail[rows, cols] = 1.0
-        vals[rows, cols] = np.concatenate(sample.values)
-    entries, counts = _pairwise_completed(vals, avail)
-    return PatchedCovariance(
-        matrix=SymMatrix(entries, counts.astype(int)),
-        delta_effective=default_delta_prime(sample),
-        noise_flag=sample.noise_sd > 0,
-    )
+    return _patched(sample, sample.grid.resolution, sample.columns)
 
 
 def patched_binned(sample: FragmentSample, K: int) -> PatchedCovariance:
@@ -124,23 +121,10 @@ def patched_binned(sample: FragmentSample, K: int) -> PatchedCovariance:
     """
     if K < 1:
         raise ValueError("K must be positive")
-    n = sample.n
-    # Per curve: bin occupancy counts and per-bin value sums. All ordered
-    # within-curve time pairs (a, b) then aggregate via outer products.
-    occ = np.zeros((n, K))
-    acc = np.zeros((n, K))
-    for i, (t, v) in enumerate(zip(sample.times, sample.values)):
-        bins = np.minimum((t * K).astype(int), K - 1)
-        occ[i] = np.bincount(bins, minlength=K)
-        acc[i] = np.bincount(bins, weights=v, minlength=K)
-    entries, counts = _pairwise_completed(acc, occ)
-    if not np.any(counts > 0):
+    patched = _patched(sample, K, np.minimum((sample.t * K).astype(int), K - 1))
+    if not np.any(patched.counts > 0):
         raise ValueError("no observation pair lands in any bin pair")
-    return PatchedCovariance(
-        matrix=SymMatrix(entries, counts.astype(int)),
-        delta_effective=default_delta_prime(sample),
-        noise_flag=sample.noise_sd > 0,
-    )
+    return patched
 
 
 def effective_mask(patched: PatchedCovariance, delta_prime: float | None = None) -> BandMask:

@@ -76,10 +76,6 @@ class FragmentLaw:
     def fixed(cls, delta: float, placement: str = "clipped_center") -> "FragmentLaw":
         return cls(delta, delta, placement)
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.delta_min == self.delta_max
-
     def draw_lengths(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.delta_min, self.delta_max, size=n)
 
@@ -100,39 +96,56 @@ class FragmentLaw:
 
 @dataclass(frozen=True)
 class FragmentSample:
-    """Discretely observed fragments of n curves.
+    """Discretely observed fragments of n curves, stored flat.
 
-    times[i] holds the sorted observation times of curve i, all inside the
-    interval [intervals[i, 0], intervals[i, 0] + intervals[i, 1]].
+    t and x hold every observation time and value back to back in curve
+    order, sizes[i] of them for curve i; curve i's times are sorted and lie
+    in its interval [intervals[i, 0], intervals[i, 0] + intervals[i, 1]].
+    On a shared grid (common and type1 samples) columns holds the grid index
+    of each time, else it is None.
     """
 
-    times: tuple
-    values: tuple
+    t: np.ndarray
+    x: np.ndarray
+    sizes: np.ndarray
     intervals: np.ndarray
     grid_type: str = "common"
     noise_sd: float = 0.0
     grid: Grid | None = None
-    grid_indices: tuple | None = None
+    columns: np.ndarray | None = None
     curve_ids: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(np.asarray(t, dtype=float) for t in self.times))
-        object.__setattr__(self, "values", tuple(np.asarray(v, dtype=float) for v in self.values))
+        t, x = np.asarray(self.t, dtype=float), np.asarray(self.x, dtype=float)
+        sizes = np.asarray(self.sizes, dtype=np.intp)
         iv = np.asarray(self.intervals, dtype=float)
-        object.__setattr__(self, "intervals", iv)
+        cols = None if self.columns is None else np.asarray(self.columns, dtype=np.intp)
+        for name, arr in (("t", t), ("x", x), ("sizes", sizes), ("intervals", iv), ("columns", cols)):
+            if arr is not None:
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         if not self.curve_ids:
-            object.__setattr__(self, "curve_ids", tuple(range(len(self.times))))
-        if len(self.times) != len(self.values) or len(self.times) != iv.shape[0]:
+            object.__setattr__(self, "curve_ids", tuple(range(sizes.size)))
+        if sizes.ndim != 1 or iv.shape != (sizes.size, 2):
             raise ValueError("times, values and intervals must align")
-        for t, v, (s, d) in zip(self.times, self.values, iv):
-            if t.shape != v.shape:
-                raise ValueError("per-curve times and values must align")
-            if t.size and (t.min() < s - 1e-12 or t.max() > s + d + 1e-12):
-                raise ValueError("observation outside its declared interval")
+        if t.shape != x.shape or t.shape != (sizes.sum(),):
+            raise ValueError("per-curve times and values must align")
+        if cols is not None and (
+            self.grid is None or cols.shape != t.shape or np.any((cols < 0) | (cols >= len(self.grid)))
+        ):
+            raise ValueError("columns must align with the times and index the grid")
+        lo = np.repeat(iv[:, 0], sizes)
+        if np.any(t < lo - 1e-12) or np.any(t > lo + np.repeat(iv[:, 1], sizes) + 1e-12):
+            raise ValueError("observation outside its declared interval")
 
     @property
     def n(self) -> int:
-        return len(self.times)
+        return self.sizes.size
+
+    @property
+    def times(self) -> tuple:
+        """Read-only per-curve views of t."""
+        return tuple(np.split(self.t, np.cumsum(self.sizes))[:-1])
 
 
 def sample_gp(truth, n: int, seed: SeedLike = None) -> np.ndarray:
@@ -167,18 +180,14 @@ def fragment(values: np.ndarray, grid: Grid, law: FragmentLaw, seed: SeedLike = 
     start = intervals[:, :1]
     inside = (grid.points >= start) & (grid.points <= start + intervals[:, 1:])
     rows, cols = np.nonzero(inside)
-    ends = np.cumsum(np.count_nonzero(inside, axis=1))
-
-    def per_curve(flat):  # the piece after the last end is empty
-        return tuple(np.split(flat, ends)[:-1])
-
     return FragmentSample(
-        times=per_curve(grid.points[cols]),
-        values=per_curve(values[rows, cols]),
+        t=grid.points[cols],
+        x=values[rows, cols],
+        sizes=np.count_nonzero(inside, axis=1),
         intervals=intervals,
         grid_type="common",
         grid=grid,
-        grid_indices=per_curve(cols),
+        columns=cols,
     )
 
 
@@ -227,7 +236,9 @@ def fragment_irregular(
     if grid_type == "type1":
         shared = Grid.perturbed(K, rng_grid)
         paths = sample_gp(evaluate_on_grid(kernel, shared), n, rng_paths)
-        times, vals, indices, starts = [], [], [], []
+        starts = np.empty(n)
+        columns = np.empty(quotas.sum(), dtype=np.intp)
+        ends = np.cumsum(quotas)
         for i in range(n):
             d, q = deltas[i], quotas[i]
             for _ in range(1000):
@@ -237,18 +248,16 @@ def fragment_irregular(
                     break
             else:
                 raise RuntimeError("could not place an interval holding enough grid points")
-            keep = np.sort(rng_times.choice(idx, size=q, replace=False))
-            times.append(shared.points[keep])
-            vals.append(paths[i, keep])
-            indices.append(keep)
-            starts.append(s)
+            columns[ends[i] - q : ends[i]] = np.sort(rng_times.choice(idx, size=q, replace=False))
+            starts[i] = s
         return FragmentSample(
-            times=tuple(times),
-            values=tuple(vals),
+            t=shared.points[columns],
+            x=paths[np.repeat(np.arange(n), quotas), columns],
+            sizes=quotas,
             intervals=np.column_stack([starts, deltas]),
             grid_type="type1",
             grid=shared,
-            grid_indices=tuple(indices),
+            columns=columns,
         )
 
     # Curve i takes draws offsets[i]:offsets[i + 1] of one uniform and one
@@ -265,8 +274,9 @@ def fragment_irregular(
         t_flat[rows] = t
         v_flat[rows] = _sample_curve_values(kernel, t, z_flat[rows])
     return FragmentSample(
-        times=tuple(np.split(t_flat, offsets[1:-1])),
-        values=tuple(np.split(v_flat, offsets[1:-1])),
+        t=t_flat,
+        x=v_flat,
+        sizes=quotas,
         intervals=np.column_stack([starts, deltas]),
         grid_type="type2",
     )
@@ -279,17 +289,16 @@ def add_noise(sample: FragmentSample, noise_sd: float, seed: SeedLike = None) ->
     if noise_sd == 0:
         return sample
     rng = as_generator(seed)
-    noisy = tuple(v + rng.normal(0.0, noise_sd, size=v.size) for v in sample.values)
-    return replace(sample, values=noisy, noise_sd=float(noise_sd))
+    return replace(sample, x=sample.x + rng.normal(0.0, noise_sd, size=sample.x.size), noise_sd=float(noise_sd))
 
 
 def write_fragments(sample: FragmentSample, path) -> None:
     """Write a sample as CSV rows curve_id,t,value plus a JSON sidecar whose
     intervals carry the curve_id of the rows they belong to."""
     path = Path(path)
-    lines = ["curve_id,t,value"]
-    for cid, t, v in zip(sample.curve_ids, sample.times, sample.values):
-        lines.extend(f"{cid},{tj!r},{vj!r}" for tj, vj in zip(t.tolist(), v.tolist()))
+    ids = np.repeat(np.array(sample.curve_ids, dtype=object), sample.sizes)
+    rows = (f"{cid},{t!r},{v!r}" for cid, t, v in zip(ids, sample.t.tolist(), sample.x.tolist()))
+    lines = ["curve_id,t,value", *rows]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "n": sample.n,

@@ -143,6 +143,14 @@ class TestMalformedInput:
         assert status == 2
         assert capsys.readouterr().err.startswith(f"error: rank policy '{policy}': ")
 
+    # rank rules exclude each other; the flags are checked before the (absent) input is read
+    @pytest.mark.parametrize("flags", [["--rank", "3", "--tau", "0.1"], ["--tau", "0.1", "--elbow-eps", "0.05"],
+                                       ["--rank", "2", "--elbow-eps", "0.05"]])
+    def test_rival_rank_flags_exit_2(self, tmp_path, capsys, flags):
+        status = main(["complete", "--input", str(tmp_path / "absent.csv"), *flags, "--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} and {flags[2]} conflict: give one rank rule")
+
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
                        "--out", str(tmp_path / "s.csv")])

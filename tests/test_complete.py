@@ -447,6 +447,20 @@ class TestEstimateCovariance:
         assert est.rank == 2
         assert est.sweep is not None
 
+    @pytest.mark.parametrize("policy", ["elbow", "penalty:0.001"])
+    def test_rng_drives_the_sweep(self, policy):
+        # a caller's generator seeds the sweep's starts as config.seed does
+        # without one; the two seeds reach rank 2 from different jitter
+        grid = Grid.perturbed(20, seed=4)
+        paths = sample_gp(evaluate_on_grid(scenario_kernel("B", 3), grid), n=100, seed=5)
+        patched = patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.6), seed=6))
+
+        def estimate(seed, rng=None):
+            est = estimate_covariance(patched, SolveConfig(rank_policy=policy, seed=seed), rng=rng)
+            return est.matrix.values.tobytes()
+
+        assert estimate(0, rng=np.random.default_rng(7)) == estimate(7) != estimate(0)
+
     def test_mask_required_for_bare_matrix(self):
         with pytest.raises(ValueError):
             estimate_covariance(np.eye(5), SolveConfig())

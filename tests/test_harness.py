@@ -192,9 +192,8 @@ class TestIngest:
         write_fragments(sample, path)
         back = ingest_fragments(path)
         assert back.n == sample.n
-        for (ta, va), (tb, vb) in zip(zip(sample.times, sample.values), zip(back.times, back.values)):
-            assert np.array_equal(ta, tb)
-            assert np.array_equal(va, vb)
+        for name in ("t", "x", "sizes"):
+            assert np.array_equal(getattr(back, name), getattr(sample, name))
         assert np.allclose(back.intervals, sample.intervals)
         assert back.grid_type == "type2"
 
@@ -247,7 +246,7 @@ class TestIngest:
         path.write_text("curve_id,t,value\na,0.9,9.0\na,0.1,1.0\na,0.5,5.0\n")
         sample = ingest_fragments(path)
         assert np.array_equal(sample.times[0], [0.1, 0.5, 0.9])
-        assert np.array_equal(sample.values[0], [1.0, 5.0, 9.0])
+        assert np.array_equal(sample.x, [1.0, 5.0, 9.0])
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -41,12 +41,13 @@ class TestPatchedRegular:
         sample, values, _ = _common_sample(n=60, K=15, delta=(0.92, 0.92), seed=3)
         # force complete observation by re-fragmenting with intervals covering [0,1]
         full = FragmentSample(
-            times=tuple([sample.grid.points] * 60),
-            values=tuple(values),
+            t=np.tile(sample.grid.points, 60),
+            x=values.ravel(),
+            sizes=np.full(60, 15),
             intervals=np.array([[0.0, 1.0 - 1e-12]] * 60),
             grid_type="common",
             grid=sample.grid,
-            grid_indices=tuple([np.arange(15)] * 60),
+            columns=np.tile(np.arange(15), 60),
         )
         patched = patched_regular(full)
         assert np.abs(patched.values - _empirical_cov(values)).max() < 1e-12
@@ -55,12 +56,13 @@ class TestPatchedRegular:
     def test_single_curve_gives_zeros(self):
         grid = Grid.regular(6)
         one = FragmentSample(
-            times=(grid.points[1:5],),
-            values=(np.array([1.0, -2.0, 3.0, 0.5]),),
+            t=grid.points[1:5],
+            x=np.array([1.0, -2.0, 3.0, 0.5]),
+            sizes=[4],
             intervals=np.array([[grid.points[1], grid.points[4] - grid.points[1]]]),
             grid_type="common",
             grid=grid,
-            grid_indices=(np.arange(1, 5),),
+            columns=np.arange(1, 5),
         )
         patched = patched_regular(one)
         assert np.all(patched.values == 0.0)
@@ -132,14 +134,36 @@ def _fragment_per_curve(values, grid, law, seed):
     return intervals, times, vals, indices
 
 
+def _per_curve(sample, flat):
+    """Curve i's piece of a flat per-observation array."""
+    return np.split(flat, np.cumsum(sample.sizes))[:-1]
+
+
 def _patched_per_curve(sample):
     """patched_regular's entries and counts, filling one curve at a time."""
     avail = np.zeros((sample.n, sample.grid.resolution))
     vals = np.zeros_like(avail)
-    for i, (idx, v) in enumerate(zip(sample.grid_indices, sample.values)):
+    for i, (idx, v) in enumerate(zip(_per_curve(sample, sample.columns), _per_curve(sample, sample.x))):
         avail[i, idx] = 1.0
         vals[i, idx] = v
     return _pairwise_completed(vals, avail)
+
+
+def _binned_per_curve(sample, K):
+    """patched_binned's entries and counts, two bincounts per curve."""
+    occ = np.zeros((sample.n, K))
+    acc = np.zeros((sample.n, K))
+    for i, (t, v) in enumerate(zip(sample.times, _per_curve(sample, sample.x))):
+        bins = np.minimum((t * K).astype(int), K - 1)
+        occ[i] = np.bincount(bins, minlength=K)
+        acc[i] = np.bincount(bins, weights=v, minlength=K)
+    return _pairwise_completed(acc, occ)
+
+
+def _noise_per_curve(sample, noise_sd, seed):
+    """add_noise's values, one normal draw per curve."""
+    rng = as_generator(seed)
+    return [v + rng.normal(0.0, noise_sd, size=v.size) for v in _per_curve(sample, sample.x)]
 
 
 class TestCommonGridMatchesPerCurveLoop:
@@ -160,12 +184,12 @@ class TestCommonGridMatchesPerCurveLoop:
         sample = fragment(values, grid, law, seed=seed + 2)
         intervals, times, vals, indices = _fragment_per_curve(values, grid, law, seed + 2)
         assert np.array_equal(sample.intervals, intervals)
-        assert len(sample.times) == len(sample.values) == len(sample.grid_indices) == 60
-        for got, want in zip((sample.times, sample.values, sample.grid_indices), (times, vals, indices)):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(sample.sizes, [idx.size for idx in indices])
+        for got, want in zip((sample.t, sample.x, sample.columns), (times, vals, indices)):
+            want = np.concatenate(want)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         if K == 4:
-            assert any(idx.size == 0 for idx in sample.grid_indices)
+            assert np.any(sample.sizes == 0)
         if ends_on_grid:
             assert any(idx[0] == 0 for idx in indices) and any(idx[-1] == K - 1 for idx in indices)
         patched = patched_regular(sample)
@@ -176,21 +200,49 @@ class TestCommonGridMatchesPerCurveLoop:
     def test_no_curves(self):
         grid = Grid.regular(10)
         sample = fragment(np.zeros((0, 10)), grid, FragmentLaw.fixed(0.5), seed=1)
-        assert sample.n == 0 and sample.grid_indices == ()
+        assert sample.n == 0 and sample.columns.size == 0
         patched = patched_regular(sample)
         assert np.all(patched.values == 0.0) and np.all(patched.counts == 0)
 
     def test_misaligned_indices_are_rejected(self):
         grid = Grid.regular(6)
-        sample = FragmentSample(
-            times=(grid.points[1:3], grid.points[2:5]),
-            values=(np.ones(2), np.ones(3)),
-            intervals=np.array([[0.2, 0.3], [0.3, 0.5]]),
-            grid=grid,
-            grid_indices=(np.arange(1, 4), np.arange(2, 4)),
-        )
         with pytest.raises(ValueError, match="align"):
-            patched_regular(sample)
+            FragmentSample(
+                t=np.concatenate([grid.points[1:3], grid.points[2:5]]),
+                x=np.ones(5),
+                sizes=[2, 3],
+                intervals=np.array([[0.2, 0.3], [0.3, 0.5]]),
+                grid=grid,
+                columns=np.concatenate([np.arange(1, 4), np.arange(2, 4)[:1]]),
+            )
+
+
+def _parity_sample(kind, seed):
+    if kind == "common":
+        return _common_sample(n=70, K=30, delta=(0.3, 0.7), seed=seed)[0]
+    return fragment_irregular(scenario_kernel("A", 3), 70, FragmentLaw(0.4, 0.6), kind, 30, seed=seed)
+
+
+class TestFlatLayoutMatchesPerCurve:
+    """patched_regular, patched_binned and add_noise work on the flat arrays
+    in one pass; their bytes equal those of the per-curve references above."""
+
+    @pytest.mark.parametrize("kind", ["common", "type1", "type2"])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_equal_per_curve(self, kind, noise_sd, seed):
+        sample = _parity_sample(kind, seed)
+        if noise_sd:
+            noisy = add_noise(sample, noise_sd, seed=seed + 10)
+            assert noisy.x.tobytes() == np.concatenate(_noise_per_curve(sample, noise_sd, seed + 10)).tobytes()
+            sample = noisy
+        pairs = [(patched_binned(sample, K), _binned_per_curve(sample, K)) for K in (1, 7, 30)]
+        if kind != "type2":
+            pairs.append((patched_regular(sample), _patched_per_curve(sample)))
+        for patched, (entries, counts) in pairs:
+            assert patched.values.tobytes() == entries.tobytes()
+            assert patched.counts.tobytes() == counts.astype(int).tobytes()
+            assert patched.noise_flag == (noise_sd > 0)
 
 
 class TestPatchedBinned:
@@ -209,7 +261,7 @@ class TestPatchedBinned:
         sums_a = np.zeros((K, K))
         sums_b = np.zeros((K, K))
         counts = np.zeros((K, K))
-        for t, v in zip(sample.times, sample.values):
+        for t, v in zip(sample.times, _per_curve(sample, sample.x)):
             bins = np.minimum((t * K).astype(int), K - 1)
             for a in range(len(t)):
                 for b in range(len(t)):
@@ -231,8 +283,9 @@ class TestPatchedBinned:
             times.append(t)
             values.append(rng.standard_normal(q))
         sample = FragmentSample(
-            times=tuple(times),
-            values=tuple(values),
+            t=np.concatenate(times),
+            x=np.concatenate(values),
+            sizes=[t.size for t in times],
             intervals=np.array([[t.min(), t.max() - t.min()] for t in times]),
             grid_type="type2",
         )
@@ -245,8 +298,9 @@ class TestPatchedBinned:
     def test_single_bin_is_grand_pair_average(self):
         t = np.array([0.1, 0.6])
         sample = FragmentSample(
-            times=(t, t),
-            values=(np.array([1.0, 3.0]), np.array([-1.0, 5.0])),
+            t=np.tile(t, 2),
+            x=np.array([1.0, 3.0, -1.0, 5.0]),
+            sizes=[2, 2],
             intervals=np.array([[0.05, 0.6], [0.05, 0.6]]),
             grid_type="type2",
         )
@@ -258,8 +312,9 @@ class TestPatchedBinned:
     def test_untouched_bin_pair_is_zero(self):
         t = np.array([0.05, 0.1])
         sample = FragmentSample(
-            times=(t,),
-            values=(np.array([1.0, 2.0]),),
+            t=t,
+            x=np.array([1.0, 2.0]),
+            sizes=[2],
             intervals=np.array([[0.0, 0.2]]),
             grid_type="type2",
         )
@@ -268,7 +323,7 @@ class TestPatchedBinned:
         assert patched.values[5, 5] == 0.0
 
     def test_no_data_rejected(self):
-        empty = FragmentSample(times=(), values=(), intervals=np.empty((0, 2)), grid_type="type2")
+        empty = FragmentSample(t=[], x=[], sizes=[], intervals=np.empty((0, 2)), grid_type="type2")
         with pytest.raises(ValueError):
             patched_binned(empty, 5)
 
@@ -298,12 +353,13 @@ class TestEffectiveMask:
     def test_mask_exceeding_support_rejected(self):
         grid = Grid.regular(10)
         one = FragmentSample(
-            times=(grid.points[:4],),
-            values=(np.zeros(4),),
+            t=grid.points[:4],
+            x=np.zeros(4),
+            sizes=[4],
             intervals=np.array([[0.0, 0.4]]),
             grid_type="common",
             grid=grid,
-            grid_indices=(np.arange(4),),
+            columns=np.arange(4),
         )
         patched = patched_regular(one)
         with pytest.raises(ValueError, match="mask exceeds data support"):
@@ -344,12 +400,15 @@ class TestPatchedInvariances:
     def test_curve_permutation(self, binned, n, K, delta, seed):
         sample, patch = _invariance_sample(binned, n, K, delta, seed)
         perm = np.random.default_rng(seed).permutation(sample.n)
+        pieces = _per_curve(sample, np.arange(sample.t.size))
+        order = np.concatenate([pieces[i] for i in perm])
         permuted = replace(
             sample,
-            times=tuple(sample.times[i] for i in perm),
-            values=tuple(sample.values[i] for i in perm),
+            t=sample.t[order],
+            x=sample.x[order],
+            sizes=sample.sizes[perm],
             intervals=sample.intervals[perm],
-            grid_indices=None if sample.grid_indices is None else tuple(sample.grid_indices[i] for i in perm),
+            columns=None if sample.columns is None else sample.columns[order],
             curve_ids=tuple(sample.curve_ids[i] for i in perm),
         )
         a, b = patch(sample), patch(permuted)
@@ -361,7 +420,7 @@ class TestPatchedInvariances:
     def test_scaling_values_scales_by_c_squared(self, binned, n, K, delta, seed, c):
         sample, patch = _invariance_sample(binned, n, K, delta, seed)
         a = patch(sample)
-        b = patch(replace(sample, values=tuple(c * v for v in sample.values)))
+        b = patch(replace(sample, x=c * sample.x))
         assert np.array_equal(a.counts, b.counts)
         _assert_close(b.values, c * c * a.values, c * c * np.abs(a.values).max())
 
@@ -369,10 +428,10 @@ class TestPatchedInvariances:
     @settings(max_examples=60, deadline=None)
     def test_constant_shift_cancels(self, binned, n, K, delta, seed, shift):
         sample, patch = _invariance_sample(binned, n, K, delta, seed)
-        shifted = replace(sample, values=tuple(v + shift for v in sample.values))
+        shifted = replace(sample, x=sample.x + shift)
         a, b = patch(sample), patch(shifted)
         assert np.array_equal(a.counts, b.counts)
         # each entry is a mean product minus a product of means, both of the
         # size of the squared shifted values; only their rounding remains
-        largest = max(np.abs(v).max(initial=0.0) for v in shifted.values)
+        largest = np.abs(shifted.x).max(initial=0.0)
         _assert_close(b.values, a.values, max(np.abs(a.values).max(), largest**2))

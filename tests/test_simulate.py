@@ -15,7 +15,7 @@ from fragcov import (
     scenario_kernel,
     write_fragments,
 )
-from fragcov.simulate import STAGE_INTERVALS, STAGE_NOISE, STAGE_PATHS, STAGE_TIMES, stage_rng
+from fragcov.simulate import STAGE_INTERVALS, STAGE_NOISE, STAGE_PATHS, STAGE_TIMES, FragmentSample, stage_rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,14 +77,14 @@ class TestFragmentCommon:
         grid = Grid.perturbed(15, seed=4)
         values = np.zeros((300, 15))
         sample = fragment(values, grid, FragmentLaw.fixed(0.5), seed=5)
-        counts = np.array([t.size for t in sample.times])
+        counts = sample.sizes
         assert counts.min() >= 6 and counts.max() <= 9  # floor(7.5)-1 .. ceil(7.5)+1
 
     def test_near_full_delta_retains_almost_everything(self):
         K = 20
         grid = Grid.perturbed(K, seed=0)
         sample = fragment(np.zeros((50, K)), grid, FragmentLaw.fixed(1 - 1 / K), seed=1)
-        assert min(t.size for t in sample.times) >= K - 2
+        assert sample.sizes.min() >= K - 2
 
     def test_times_inside_intervals(self):
         grid = Grid.perturbed(30, seed=2)
@@ -106,15 +106,14 @@ class TestFragmentIrregular:
     def test_type1_quota(self):
         kern = scenario_kernel("A", 2)
         sample = fragment_irregular(kern, 40, FragmentLaw.fixed(0.6), "type1", 50, seed=0)
-        assert all(t.size == 30 for t in sample.times)  # ceil(50 * 0.6)
+        assert np.all(sample.sizes == 30)  # ceil(50 * 0.6)
         # times are a subset of the shared grid
-        for t, idx in zip(sample.times, sample.grid_indices):
-            assert np.array_equal(t, sample.grid.points[idx])
+        assert np.array_equal(sample.t, sample.grid.points[sample.columns])
 
     def test_type2_quota_bounds(self):
         kern = scenario_kernel("A", 1)
         sample = fragment_irregular(kern, 60, FragmentLaw(0.4, 0.6), "type2", 50, seed=1)
-        sizes = np.array([t.size for t in sample.times])
+        sizes = sample.sizes
         assert sizes.min() >= 20 and sizes.max() <= 30
 
     def test_times_inside_intervals(self):
@@ -137,8 +136,7 @@ class TestFragmentIrregular:
         kern = scenario_kernel("A", 2)
         a = fragment_irregular(kern, 20, FragmentLaw(0.5, 0.7), "type2", 50, seed=7)
         b = fragment_irregular(kern, 20, FragmentLaw(0.5, 0.7), "type2", 50, seed=7)
-        for va, vb in zip(a.values, b.values):
-            assert np.array_equal(va, vb)
+        assert np.array_equal(a.x, b.x)
 
 
 def _type2_per_curve(kernel, n, law, base_resolution, seed):
@@ -184,7 +182,7 @@ class TestType2BatchedParity:
             sample = fragment_irregular(kern, 40, law, "type2", 30, seed=seed)
             times, vals, intervals = _type2_per_curve(kern, 40, law, 30, seed)
             assert all(map(np.array_equal, sample.times, times))
-            assert all(map(np.array_equal, sample.values, vals))
+            assert np.array_equal(sample.x, np.concatenate(vals))
             assert np.array_equal(sample.intervals, intervals)
 
     def test_sparse_curve_still_rejected(self):
@@ -212,7 +210,7 @@ class TestAddNoise:
         kern = scenario_kernel("A", 1)
         sample = fragment_irregular(kern, 400, FragmentLaw.fixed(0.9), "type2", 300, seed=3)
         noisy = add_noise(sample, 1.0, seed=4)
-        diffs = np.concatenate([nv - v for nv, v in zip(noisy.values, sample.values)])
+        diffs = noisy.x - sample.x
         assert diffs.size > 1e5
         assert abs(diffs.var() - 1.0) < 0.02
         assert noisy.noise_sd == 1.0
@@ -227,12 +225,75 @@ class TestAddNoise:
             1.0,
             stage_rng(seed, STAGE_NOISE),
         )
-        for cv, nv in zip(clean.values, noisy.values):
-            assert not np.array_equal(cv, nv)
+        assert np.all(clean.x != noisy.x)
         # paths stream unaffected by having drawn the noise stream
         again = fragment_irregular(kern, 15, FragmentLaw.fixed(0.6), "type2", 50, seed=8)
-        for cv, av in zip(clean.values, again.values):
-            assert np.array_equal(cv, av)
+        assert np.array_equal(clean.x, again.x)
+
+
+class TestFragmentSample:
+    """Observations are stored flat, sizes[i] of them per curve; construction
+    rejects arrays that do not fit together."""
+
+    GRID = Grid.regular(4)  # points 0.125, 0.375, 0.625, 0.875
+
+    def _sample(self, **changes):
+        fields = dict(
+            t=[0.125, 0.375, 0.625, 0.875],
+            x=[1.0, 2.0, 3.0, 4.0],
+            sizes=[2, 2],
+            intervals=[[0.1, 0.3], [0.6, 0.3]],
+            grid=self.GRID,
+            columns=[0, 1, 2, 3],
+        )
+        return FragmentSample(**{**fields, **changes})
+
+    def test_flat_arrays_and_per_curve_views(self):
+        sample = self._sample()
+        assert sample.n == 2 and sample.curve_ids == (0, 1)
+        assert [t.tolist() for t in sample.times] == [[0.125, 0.375], [0.625, 0.875]]
+        for arr in (sample.t, sample.x, sample.sizes, sample.intervals, sample.columns, *sample.times):
+            assert not arr.flags.writeable
+        empty = FragmentSample(t=[], x=[], sizes=[], intervals=np.empty((0, 2)))
+        assert empty.n == 0 and empty.times == ()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(sizes=[4]), dict(intervals=[[0.1, 0.3]]), dict(intervals=[0.1, 0.3]), dict(sizes=[[2, 2]])],
+        ids=["fewer-sizes", "fewer-intervals", "flat-intervals", "2d-sizes"],
+    )
+    def test_sizes_and_intervals_must_align(self, changes):
+        with pytest.raises(ValueError, match="times, values and intervals must align"):
+            self._sample(**changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(x=[1.0, 2.0, 3.0]), dict(sizes=[2, 3]), dict(t=[0.125, 0.375, 0.625], sizes=[2, 1], columns=[0, 1, 2])],
+        ids=["short-x", "sizes-past-end", "short-t"],
+    )
+    def test_times_and_values_must_align(self, changes):
+        with pytest.raises(ValueError, match="per-curve times and values must align"):
+            self._sample(**changes)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(columns=[0, 1, 2]), dict(columns=[0, 1, 2, 4]), dict(columns=[-1, 1, 2, 3]), dict(grid=None)],
+        ids=["short", "past-grid", "negative", "no-grid"],
+    )
+    def test_columns_must_index_the_grid_per_time(self, changes):
+        with pytest.raises(ValueError, match="columns must align with the times and index the grid"):
+            self._sample(**changes)
+
+    # other-curve: 0.375 lies in the first curve's interval, not in its own curve's
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(intervals=[[0.2, 0.3], [0.6, 0.3]]), dict(intervals=[[0.1, 0.2], [0.6, 0.3]]),
+         dict(sizes=[1, 3], intervals=[[0.1, 0.6], [0.6, 0.3]])],
+        ids=["before-start", "after-end", "other-curve"],
+    )
+    def test_time_outside_its_interval(self, changes):
+        with pytest.raises(ValueError, match="observation outside its declared interval"):
+            self._sample(**changes)
 
 
 def test_stage_rng_disjoint_streams():
