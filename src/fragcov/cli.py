@@ -149,7 +149,7 @@ def _cmd_scree(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
+    if args.config is not None:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -216,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scree)
 
     p = sub.add_parser("run", help="run a benchmark table or a JSON experiment config")
-    p.add_argument("--table", choices=harness.TABLE_IDS, default=None)
-    p.add_argument("--config", default=None, help="JSON file mirroring ExperimentConfig")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--table", choices=harness.TABLE_IDS)
+    source.add_argument("--config", help="JSON file mirroring ExperimentConfig")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--cells", default=None, help="comma-separated cell indices to run")
@@ -228,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run" and not (args.table or args.config):
-        print("error: run needs --table or --config", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (CompletionError, ValueError, OSError) as exc:

@@ -54,33 +54,33 @@ class CompletionError(RuntimeError):
     """Completion failed: singular minor or diverged descent."""
 
 
+# each solve method's budget: iteration cap, and gradient tolerance at size K
+_BUDGETS = {"lbfgs": (2000, lambda K: 1e-9 / (K * K)), "bfgs": (100, lambda K: 1e-8)}
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Optimizer and rank-selection settings.
 
-    grad_tol of None means the default 1e-9 / K^2 gradient-norm threshold.
-    method selects the quasi-Newton flavor: "lbfgs" (scipy's limited-memory
-    L-BFGS-B, run to tight tolerances; the default) or "bfgs" (a dense
-    inverse-Hessian BFGS loop, _bfgs, with scipy's line search and stopping
-    rules and the inverse Hessian updated in place with symmetric level-2
-    BLAS; with a modest max_iter it mirrors common quasi-Newton defaults and
-    is what the benchmark-table protocol uses). rank_policy is checked by
-    parse_rank_policy when the config is built.
+    method picks the solve protocol and its budget: "lbfgs" (the default),
+    scipy's L-BFGS-B to 2000 iterations and a gradient tolerance of
+    1e-9 / K^2; or "bfgs", the benchmark-table protocol, a dense BFGS loop
+    (_bfgs: scipy's line search and stopping rules, the inverse Hessian
+    updated in place with symmetric level-2 BLAS) to 100 iterations and 1e-8.
+    Any other method, and a rank_policy that parse_rank_policy rejects,
+    raise ValueError when the config is built.
     """
 
     max_rank_sweep: int | None = None
-    grad_tol: float | None = None
-    max_iter: int = 2000
     restarts: int = 1
     method: str = "lbfgs"
     rank_policy: str = "elbow"
     seed: int = 0
 
     def __post_init__(self):
+        if self.method not in _BUDGETS:
+            raise ValueError(f"unknown solve method {self.method!r}; expected one of {', '.join(_BUDGETS)}")
         parse_rank_policy(self.rank_policy)
-
-    def gtol(self, K: int) -> float:
-        return self.grad_tol if self.grad_tol is not None else 1e-9 / (K * K)
 
     def sweep_bound(self, mask: BandMask) -> int:
         if self.max_rank_sweep is not None:
@@ -337,7 +337,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     return OptimizeResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status, success=status == 0)
 
 
-def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str = "lbfgs"):
+def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str):
     K, r = shape
 
     def fun(x):
@@ -347,7 +347,6 @@ def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int,
     if method == "bfgs":
         res = _bfgs(fun, x0, gtol, max_iter)
     else:
-        method = "lbfgs"
         res = minimize(
             fun,
             x0,
@@ -399,13 +398,16 @@ def solve_fixed_rank(
         start = start.copy()
         start[:, dead] = 1e-6 * scale * rng.standard_normal((K, int(dead.sum())))
 
-    gtol = config.gtol(K)
-    best_gamma, best_fit = _descend(start.ravel(), (K, rank), tvals, mask.include, gtol, config.max_iter, config.method)
+    max_iter, gtol = _BUDGETS[config.method]
+
+    def descend(x0):
+        return _descend(x0.ravel(), (K, rank), tvals, mask.include, gtol(K), max_iter, config.method)
+
+    best_gamma, best_fit = descend(start)
     # restart jitter must be large enough to leave a spurious basin of the
     # factorized landscape, yet small against the factor scale
     for _ in range(config.restarts - 1):
-        jittered = start + 0.25 * scale * rng.standard_normal(start.shape)
-        g, fit = _descend(jittered.ravel(), (K, rank), tvals, mask.include, gtol, config.max_iter, config.method)
+        g, fit = descend(start + 0.25 * scale * rng.standard_normal(start.shape))
         if fit < best_fit:
             best_gamma, best_fit = g, fit
     return LowRankFactor(best_gamma), best_fit

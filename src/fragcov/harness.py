@@ -14,7 +14,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,8 @@ from .simulate import (
     stage_rng,
 )
 from .patch import patched_binned, patched_regular, trusted_delta_prime
-from .complete import SolveConfig, _openblas, _set_blas_threads, _single_thread_blas, estimate_covariance
+from .complete import SolveConfig, _openblas, _set_blas_threads, _single_thread_blas
+from .complete import estimate_covariance, parse_rank_policy
 
 __all__ = [
     "ExperimentConfig",
@@ -56,14 +57,12 @@ TABLE_IDS = ("T2", "T4", "T5", "T6", "T7")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation cell: kernel, sampling regime and solver policy.
+    """One simulation cell: kernel, sampling regime and rank rule.
 
-    rank_policy is the cell's rank rule (the results CSV prints it) and is
-    copied into solve. A solve.rank_policy other than SolveConfig's default
-    must equal rank_policy, else ValueError; so replace(cfg, rank_policy=...)
-    also needs a solve carrying the new rule or the default. A solve that
-    sets the default rule explicitly cannot be told from an unset one, and
-    takes the cell's rule.
+    Every cell is fitted under the table protocol, SolveConfig(method="bfgs")
+    with rank_policy as its rule. A type1 cell is scored on its base grid, so
+    its K must be None or base_resolution. A malformed rank_policy, such a K
+    or replications < 1 raise ValueError when the cell is built.
     """
 
     kernel: str
@@ -77,20 +76,13 @@ class ExperimentConfig:
     rank_policy: str = "elbow"
     replications: int = 100
     seed: int = 0
-    # Table protocol: fragcov's dense BFGS loop (complete._bfgs, scipy's line
-    # search and stopping rules) with a conventional iteration budget; the
-    # library-level SolveConfig default (L-BFGS-B) runs much deeper.
-    solve: SolveConfig = field(
-        default_factory=lambda: SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)
-    )
 
     def __post_init__(self):
-        inner = self.solve.rank_policy
-        if inner not in (self.rank_policy, SolveConfig.rank_policy):
-            raise ValueError(
-                f"solve.rank_policy {inner!r} disagrees with the cell's rank_policy {self.rank_policy!r}"
-            )
-        object.__setattr__(self, "solve", replace(self.solve, rank_policy=self.rank_policy))
+        parse_rank_policy(self.rank_policy)
+        if self.grid_type == "type1" and self.K not in (None, self.base_resolution):
+            raise ValueError(f"type1 cell: K={self.K} must be None or base_resolution ({self.base_resolution})")
+        if self.replications < 1:
+            raise ValueError(f"replications must be at least 1, got {self.replications}")
 
     def law(self) -> FragmentLaw:
         return FragmentLaw(float(self.delta[0]), float(self.delta[1]))
@@ -111,17 +103,12 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Inverse of to_json; a key that names no field raises ValueError."""
         payload = json.loads(text)
-        solve = payload.pop("solve", None)
-        for kind, keys in ((cls, payload), (SolveConfig, solve or {})):
-            unknown = sorted(set(keys) - {f.name for f in fields(kind)})
-            if unknown:
-                raise ValueError(f"unknown {kind.__name__} keys: {', '.join(unknown)}")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
         if "delta" in payload:
             payload["delta"] = tuple(payload["delta"])
-        cfg = cls(**payload)
-        if solve:
-            cfg = replace(cfg, solve=SolveConfig(**solve))
-        return cfg
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
         if config.noise_sd > 0:
             sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
         if config.grid_type == "type1":
-            K = config.K or config.base_resolution
+            K = config.base_resolution
             truth = evaluate_on_grid(kernel, sample.grid)
         else:
             if config.K is not None:
@@ -197,7 +184,8 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     # data support: corner pairs can be unobserved under random grids and
     # uniform starts, and the zero-filled target handles them.
     mask = band_mask(K, config.resolved_delta_prime(), exclude_diagonal=patched.noise_flag)
-    estimate = estimate_covariance(patched, config.solve, mask=mask, rng=solve_rng)
+    solve = SolveConfig(method="bfgs", rank_policy=config.rank_policy)
+    estimate = estimate_covariance(patched, solve, mask=mask, rng=solve_rng)
     return relative_error(estimate.matrix, truth), K
 
 
@@ -330,6 +318,9 @@ def run_table(
     """Run one built-in table (optionally restricted to given cell indices)."""
     configs = table_cells(table, seed=seed, replications=replications)
     if cells is not None:
+        for i in cells:
+            if not 0 <= i < len(configs):
+                raise ValueError(f"cell index {i} outside table {table.upper()}'s {len(configs)} cells")
         configs = [configs[i] for i in cells]
     return [run_cell(cfg, workers=workers) for cfg in configs]
 

@@ -157,6 +157,32 @@ class TestMalformedInput:
         assert status == 2
         assert capsys.readouterr().err.startswith("error: --delta takes one length or a min,max pair")
 
+    # T2 has 30 cells; -1 is rejected, not counted from the end
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_run_cell_outside_the_table_exits_2(self, tmp_path, capsys, index):
+        status = main(["run", "--table", "T2", "--reps", "1", "--cells", index, "--out", str(tmp_path / "r.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith(f"error: cell index {index} outside table T2's 30 cells")
+        assert not (tmp_path / "r.csv").exists()
+
+    # rejected before any replication, so the outcome cannot depend on the worker count
+    @pytest.mark.parametrize("source", ["table", "config"])
+    def test_run_zero_replications_exits_2(self, tmp_path, capsys, source):
+        from fragcov import ExperimentConfig
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(ExperimentConfig(kernel="scenarioA:1", n=40, K=15, rank_policy="fixed:1").to_json())
+        given = ["--table", "T2", "--cells", "0"] if source == "table" else ["--config", str(cfg_path)]
+        assert main(["run", *given, "--reps", "0", "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: replications must be at least 1, got 0")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_run_config_with_a_solve_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"kernel": "scenarioA:1", "solve": {"method": "bfgs"}}')
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown ExperimentConfig keys: solve")
+
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         status = main(["patch", "--input", str(missing), "--out", str(tmp_path / "p.csv"),
@@ -190,7 +216,17 @@ class TestRunCommand:
         assert out.exists()
 
     def test_run_requires_table_or_config(self, capsys):
-        assert main(["run"]) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run"])
+        assert exit_info.value.code == 2
+        assert "one of the arguments --table --config is required" in capsys.readouterr().err
+
+    # a run has one cell source: --table is never dropped silently next to --config
+    def test_run_rejects_table_and_config_together(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--table", "T2", "--config", str(tmp_path / "c.json")])
+        assert exit_info.value.code == 2
+        assert "argument --config: not allowed with argument --table" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -37,6 +37,7 @@ from fragcov import complete
 from fragcov.complete import (
     LowRankFactor,
     _bfgs,
+    _descend,
     _eigen_init,
     _rank_decided,
     masked_objective_grad,
@@ -228,8 +229,9 @@ class TestDenseBFGS:
 
     def test_unconverged_descent_is_logged(self, caplog):
         banded, mask, _ = _banded(scenario_kernel("A", 3), 30, 0.5, seed=5)
+        start = _eigen_init(banded, 3).ravel()
         with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
-            solve_fixed_rank(banded, mask, 3, SolveConfig(method="bfgs", max_iter=5, grad_tol=1e-8))
+            _descend(start, (30, 3), banded, mask.include, 1e-8, max_iter=5, method="bfgs")
         (record,) = [r for r in caplog.records if r.name == "fragcov.complete"]
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == "descent method=bfgs nit=5 nfev=6 converged=False"
@@ -253,6 +255,40 @@ class TestDenseBFGS:
         methods.clear()
         solve_fixed_rank(banded, mask, 1, SolveConfig(restarts=3))
         assert methods == ["L-BFGS-B"] * 3
+
+
+class TestSolveProtocols:
+    """method alone picks the descent and its budget."""
+
+    def test_method_pins_the_budget(self, monkeypatch):
+        calls = []
+
+        def recording_bfgs(fun, x0, gtol, max_iter):
+            calls.append(("bfgs", max_iter, gtol))
+            return _bfgs(fun, x0, gtol, max_iter)
+
+        def recording_minimize(fun, x0, **options):
+            calls.append((options["method"], options["options"]["maxiter"], options["options"]["gtol"]))
+            return minimize(fun, x0, **options)
+
+        monkeypatch.setattr(complete, "_bfgs", recording_bfgs)
+        monkeypatch.setattr(complete, "minimize", recording_minimize)
+        banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=3)
+        solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs"))
+        solve_fixed_rank(banded, mask, 2, SolveConfig(method="lbfgs"))
+        solve_fixed_rank(banded, mask, 2)
+        lbfgs = ("L-BFGS-B", 2000, 1e-9 / 20**2)
+        assert calls == [("bfgs", 100, 1e-8), lbfgs, lbfgs]
+
+    @pytest.mark.parametrize("method", ["BFGS", "newton", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match=f"unknown solve method {method!r}"):
+            SolveConfig(method=method)
+
+    @pytest.mark.parametrize("field", ["max_iter", "grad_tol"])
+    def test_budget_is_not_a_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            SolveConfig(**{field: 100})
 
 
 class TestRankSweep:
@@ -547,7 +583,7 @@ def _k200_patched():
     return patched_regular(fragment(paths, grid, FragmentLaw.fixed(0.5), seed=2))
 
 
-_TABLE_PROTOCOL = SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8, rank_policy="fixed:3")
+_TABLE_PROTOCOL = SolveConfig(method="bfgs", rank_policy="fixed:3")
 
 
 @lru_cache(maxsize=None)
@@ -601,7 +637,7 @@ class TestSingleThreadBlas:
         ones = [1] * len(two_threads)
         for solve in (
             lambda: solve_fixed_rank(banded, mask, 2),
-            lambda: solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs", max_iter=100, grad_tol=1e-8)),
+            lambda: solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs")),
             lambda: rank_sweep(banded, mask, SolveConfig(max_rank_sweep=4), until="elbow"),
             lambda: estimate_covariance(banded, SolveConfig(rank_policy="elbow", max_rank_sweep=4), mask=mask),
         ):

@@ -1,6 +1,5 @@
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +105,12 @@ class TestTables:
         assert len(results) == 1
         assert results[0].config.kernel == "scenarioA:1"
 
+    # T2 has 30 cells; a negative index is rejected, not counted from the end
+    @pytest.mark.parametrize("index", [30, 99, -1])
+    def test_run_table_rejects_a_cell_outside_the_table(self, index):
+        with pytest.raises(ValueError, match=f"cell index {index} outside table T2's 30 cells"):
+            run_table("t2", replications=1, cells=[0, index], workers=1)
+
     def test_csv_and_text_output(self):
         results = run_table("T2", seed=5, replications=2, cells=[0, 15], workers=1)
         csv = results_to_csv(results)
@@ -122,7 +127,6 @@ class TestConfigJson:
         cfg = ExperimentConfig(
             kernel="scenarioB:2", n=123, delta=(0.4, 0.6), grid_type="type1",
             noise_sd=1.0, rank_policy="elbow:0.02", replications=9, seed=42,
-            solve=SolveConfig(max_iter=55, method="bfgs"),
         )
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
@@ -132,44 +136,48 @@ class TestConfigJson:
         assert payload["kernel"] == "scenarioA:1"
         assert payload["delta"] == [0.5, 0.5]
 
-    def test_solve_carries_the_cell_rank_policy(self):
-        cfg = ExperimentConfig(**SMALL)
-        assert cfg.solve.rank_policy == cfg.rank_policy == "fixed:1"
-        assert json.loads(cfg.to_json())["solve"]["rank_policy"] == "fixed:1"
-
-    def test_disagreeing_solve_rank_policy_rejected(self):
-        with pytest.raises(ValueError, match="'fixed:3'.*'fixed:1'"):
-            ExperimentConfig(**{**SMALL, "solve": SolveConfig(rank_policy="fixed:3")})
-        payload = json.loads(ExperimentConfig(**SMALL).to_json())
-        payload["solve"]["rank_policy"] = "fixed:3"
-        with pytest.raises(ValueError, match="'fixed:3'.*'fixed:1'"):
-            ExperimentConfig.from_json(json.dumps(payload))
-
-    def test_replace_moves_the_rank_rule_with_its_solve(self):
-        cfg = ExperimentConfig(**SMALL)
-        with pytest.raises(ValueError, match="'fixed:1'.*'fixed:2'"):
-            replace(cfg, rank_policy="fixed:2")
-        moved = replace(cfg, rank_policy="fixed:2", solve=replace(cfg.solve, rank_policy="fixed:2"))
-        assert moved.solve.rank_policy == "fixed:2"
-        # SolveConfig's default rule reads as unset, so the cell's rule replaces it
-        explicit = ExperimentConfig(**{**SMALL, "solve": SolveConfig(rank_policy="elbow")})
-        assert explicit.solve.rank_policy == "fixed:1"
-
     @pytest.mark.parametrize("policy", ["penalty:-1", "fixed:x", "elbow:0"])
     def test_malformed_rank_policy_rejected_when_built(self, policy):
         with pytest.raises(ValueError, match=f"rank policy '{policy}'"):
             ExperimentConfig(**{**SMALL, "rank_policy": policy})
         payload = json.loads(ExperimentConfig(**SMALL).to_json())
-        payload["rank_policy"] = payload["solve"]["rank_policy"] = policy
+        payload["rank_policy"] = policy
         with pytest.raises(ValueError, match=f"rank policy '{policy}'"):
             ExperimentConfig.from_json(json.dumps(payload))
 
+    # a cell carries no solver config: a nested solve.tau is rejected for its solve key
     @pytest.mark.parametrize("where, key", [(None, "placement"), ("solve", "tau")])
     def test_unknown_key_rejected(self, where, key):
         payload = json.loads(ExperimentConfig(kernel="scenarioA:1").to_json())
-        (payload[where] if where else payload)[key] = None
-        with pytest.raises(ValueError, match=key):
+        (payload.setdefault(where, {}) if where else payload)[key] = None
+        with pytest.raises(ValueError, match=f"unknown ExperimentConfig keys: {where or key}$"):
             ExperimentConfig.from_json(json.dumps(payload))
+
+    def test_solve_is_not_a_field(self):
+        with pytest.raises(TypeError, match="solve"):
+            ExperimentConfig(kernel="scenarioA:1", solve=SolveConfig(method="bfgs"))
+
+
+class TestCellChecks:
+    """A cell that cannot run is rejected when it is built."""
+
+    # the truth lives on the base grid and the estimate on K bins
+    def test_type1_K_must_be_the_base_resolution(self):
+        cell = dict(kernel="scenarioA:1", n=40, base_resolution=30, grid_type="type1", rank_policy="fixed:1")
+        with pytest.raises(ValueError, match=r"type1 cell: K=40 must be None or base_resolution \(30\)"):
+            ExperimentConfig(**cell, K=40)
+        payload = json.loads(ExperimentConfig(**cell, K=None).to_json())
+        payload["K"] = 40
+        with pytest.raises(ValueError, match="base_resolution"):
+            ExperimentConfig.from_json(json.dumps(payload))
+        assert ExperimentConfig(**cell, K=30).K == 30
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_replications_must_be_positive(self, replications):
+        with pytest.raises(ValueError, match=f"replications must be at least 1, got {replications}"):
+            ExperimentConfig(**{**SMALL, "replications": replications})
+        with pytest.raises(ValueError, match="replications must be at least 1"):
+            table_cells("T2", replications=replications)
 
 
 class TestResolvedDeltaPrime:
