@@ -21,13 +21,12 @@ from .kernels import (
     MaternKernel,
     MercerKernel,
     StationaryKernel,
+    SumKernel,
     counterexample_bump_pair,
     esseen_pair,
     evaluate_on_grid,
     kernel_from_id,
-    matern_kernel,
     scenario_kernel,
-    sum_kernel,
 )
 from .simulate import (
     FragmentLaw,
@@ -79,13 +78,12 @@ __all__ = [
     "MaternKernel",
     "MercerKernel",
     "StationaryKernel",
+    "SumKernel",
     "counterexample_bump_pair",
     "esseen_pair",
     "evaluate_on_grid",
     "kernel_from_id",
-    "matern_kernel",
     "scenario_kernel",
-    "sum_kernel",
     "FragmentLaw",
     "FragmentSample",
     "add_noise",

@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, patch, complete, run, scree."""
+"""Command-line interface: simulate, patch, complete, run."""
 
 from __future__ import annotations
 
@@ -109,42 +109,25 @@ def _load_patched(args) -> PatchedCovariance:
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     return PatchedCovariance(
         matrix=SymMatrix(values, counts),
-        delta_effective=args.delta_prime or meta.get("delta_effective"),
+        delta_effective=args.delta_prime if args.delta_prime is not None else meta.get("delta_effective"),
         noise_flag=bool(meta.get("noise_flag", False)),
     )
 
 
 def _cmd_complete(args) -> int:
-    given = [flag for flag, on in (("--rank", args.rank != "auto"), ("--tau", args.tau is not None),
-                                   ("--elbow-eps", args.elbow_eps is not None)) if on]
-    if len(given) > 1:
-        raise ValueError(f"{given[0]} and {given[1]} conflict: give one rank rule")
-    if args.rank != "auto":
-        rank_policy = f"fixed:{args.rank}"
-    elif args.tau is not None:
-        rank_policy = f"penalty:{args.tau}"
-    else:
-        rank_policy = f"elbow:{0.01 if args.elbow_eps is None else args.elbow_eps}"
+    # --rank is a rank policy, or 'auto' for the elbow rule, or a bare q for fixed:q
+    rank_policy = "elbow" if args.rank == "auto" else args.rank
+    if rank_policy.isdigit():
+        rank_policy = f"fixed:{rank_policy}"
     cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
     patched = _load_patched(args)
-    estimate = estimate_covariance(patched, cfg)
+    mask = effective_mask(patched)
+    estimate = estimate_covariance(patched, cfg, mask=mask)
     _write_matrix(args.out, estimate.matrix.values)
     if args.scree_out:
         # estimate.sweep stops at the selected rank; the scree covers every rank to --max-rank
-        sweep = rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg)
-        Path(args.scree_out).write_text(_scree_csv(sweep))
+        Path(args.scree_out).write_text(_scree_csv(rank_sweep(patched, mask, cfg)))
     print(f"completed at rank {estimate.rank} (fit {estimate.fit:.3e}) -> {args.out}")
-    return 0
-
-
-def _cmd_scree(args) -> int:
-    patched = _load_patched(args)
-    cfg = SolveConfig(max_rank_sweep=args.max_rank, seed=args.seed)
-    text = _scree_csv(rank_sweep(patched, effective_mask(patched, args.delta_prime), cfg))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
     return 0
 
 
@@ -180,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--k", type=int, default=50, help="grid resolution (base resolution for type2)")
     p.add_argument("--delta", type=lambda s: [float(v) for v in s.split(",")], default=[0.5])
-    p.add_argument("--grid-type", choices=("common", "type1", "type2"), default="common")
+    p.add_argument("--grid-type", choices=harness.GRID_TYPES, default="common")
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -197,23 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="patched matrix CSV")
     p.add_argument("--counts", default=None, help="counts CSV")
     p.add_argument("--delta-prime", type=float, default=None)
-    p.add_argument("--rank", default="auto", help="'auto' or an explicit rank")
-    p.add_argument("--elbow-eps", type=float, default=None, help="elbow threshold (default 0.01)")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--rank", default="auto",
+                   help="rank rule: q or fixed:q, elbow[:eps], penalty:tau; 'auto' (default) is elbow")
     p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--scree-out", default=None)
+    p.add_argument("--scree-out", default=None, help="write the rank-sweep fits up to --max-rank as CSV")
     p.set_defaults(func=_cmd_complete)
-
-    p = sub.add_parser("scree", help="emit the rank-sweep fits for a patched matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("--counts", default=None)
-    p.add_argument("--delta-prime", type=float, default=None)
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_scree)
 
     p = sub.add_parser("run", help="run a benchmark table or a JSON experiment config")
     source = p.add_mutually_exclusive_group(required=True)

@@ -17,7 +17,7 @@ import os
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -555,12 +555,13 @@ class StepKernel:
     """Step-function kernel constant on the cells of the regular K-partition."""
 
     values: np.ndarray
-    K: int = field(default=0)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "K", vals.shape[0])
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+
+    @property
+    def K(self) -> int:
+        return self.values.shape[0]
 
     def __call__(self, x, y):
         j = np.minimum((np.asarray(x, dtype=float) * self.K).astype(int), self.K - 1)

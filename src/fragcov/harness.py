@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 TABLE_IDS = ("T2", "T4", "T5", "T6", "T7")
+GRID_TYPES = ("common", "type1", "type2")
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,13 @@ class ExperimentConfig:
     """One simulation cell: kernel, sampling regime and rank rule.
 
     Every cell is fitted under the table protocol, SolveConfig(method="bfgs")
-    with rank_policy as its rule. A type1 cell is scored on its base grid, so
-    its K must be None or base_resolution. A malformed rank_policy, such a K
-    or replications < 1 raise ValueError when the cell is built.
+    with rank_policy as its rule. A common-grid cell with K None runs at
+    K=50; a type1 cell is scored on its base grid, so its K must be None or
+    base_resolution; a type2 cell with K None bins at a K drawn from the
+    sample. A cell that cannot run raises ValueError when it is built, with
+    the message its replications would fail with: a malformed rank_policy,
+    kernel id, delta or grid_type, n < 2, noise_sd < 0, replications < 1,
+    such a type1 K, or a delta' band that is degenerate at the cell's K.
     """
 
     kernel: str
@@ -79,10 +84,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         parse_rank_policy(self.rank_policy)
-        if self.grid_type == "type1" and self.K not in (None, self.base_resolution):
-            raise ValueError(f"type1 cell: K={self.K} must be None or base_resolution ({self.base_resolution})")
+        kernel_from_id(self.kernel)
+        self.law()
+        if self.grid_type not in GRID_TYPES:
+            raise ValueError(f"unknown grid type {self.grid_type!r}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.noise_sd < 0:
+            raise ValueError("noise_sd must be nonnegative")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        if self.grid_type == "type1" and self.K not in (None, self.base_resolution):
+            raise ValueError(f"type1 cell: K={self.K} must be None or base_resolution ({self.base_resolution})")
+        delta_prime = self.resolved_delta_prime()
+        if (K := self._fixed_K()) is not None:
+            band_mask(K, delta_prime)
+
+    def _fixed_K(self) -> int | None:
+        """The bin count where it is known before sampling: K, or 50 on a
+        common grid and base_resolution on a type1 grid; None for a type2
+        cell that bins at the sample's K."""
+        if self.grid_type == "type1":
+            return self.base_resolution
+        if self.K is None and self.grid_type == "common":
+            return 50
+        return self.K
 
     def law(self) -> FragmentLaw:
         return FragmentLaw(float(self.delta[0]), float(self.delta[1]))
@@ -152,8 +178,8 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     law = config.law()
     solve_rng = stage_rng(rep_seed, STAGE_SOLVER)
 
+    K = config._fixed_K()
     if config.grid_type == "common":
-        K = config.K or 50
         grid = Grid.perturbed(K, stage_rng(rep_seed, STAGE_GRID))
         truth = evaluate_on_grid(kernel, grid)
         paths = sample_gp(truth, config.n, stage_rng(rep_seed, STAGE_PATHS))
@@ -161,24 +187,19 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
         if config.noise_sd > 0:
             sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
         patched = patched_regular(sample)
-    elif config.grid_type in ("type1", "type2"):
+    else:
         sample = fragment_irregular(
             kernel, config.n, law, config.grid_type, base_resolution=config.base_resolution, seed=rep_seed
         )
         if config.noise_sd > 0:
             sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
         if config.grid_type == "type1":
-            K = config.base_resolution
             truth = evaluate_on_grid(kernel, sample.grid)
         else:
-            if config.K is not None:
-                K = config.K
-            else:
+            if K is None:
                 K = max(2, int(round(4.0 * sample.t.size / (5.0 * config.n))))
             truth = evaluate_on_grid(kernel, (np.arange(K) + 0.5) / K)
         patched = patched_binned(sample, K)
-    else:
-        raise ValueError(f"unknown grid type {config.grid_type!r}")
 
     # The solver mask is the delta' band itself, not intersected with the
     # data support: corner pairs can be unobserved under random grids and

@@ -24,8 +24,6 @@ __all__ = [
     "StationaryKernel",
     "SumKernel",
     "scenario_kernel",
-    "matern_kernel",
-    "sum_kernel",
     "counterexample_bump_pair",
     "esseen_pair",
     "evaluate_on_grid",
@@ -81,7 +79,8 @@ class MercerKernel(Kernel):
 
 @dataclass(frozen=True)
 class MaternKernel(Kernel):
-    """Stationary Matern kernel with smoothness nu, range rho and variance sigma2."""
+    """Stationary Matern kernel with smoothness nu, range rho and variance sigma2;
+    at distance 0 its value is sigma2, by continuity."""
 
     nu: float
     rho: float
@@ -171,15 +170,6 @@ def scenario_kernel(scenario: str, q: int) -> MercerKernel:
     return MercerKernel(SCENARIO_EIGENVALUES[:q], funcs[:q])
 
 
-def matern_kernel(nu: float, rho: float, sigma2: float = 1.0) -> MaternKernel:
-    """Matern kernel; at d = 0 the value is sigma2 by continuity."""
-    return MaternKernel(nu=nu, rho=rho, sigma2=sigma2)
-
-
-def sum_kernel(a: Kernel, b: Kernel) -> SumKernel:
-    return SumKernel(a, b)
-
-
 def _bump(u):
     """Smooth non-analytic bump supported on (-1/6, 1/6), value e^-1 at 0."""
     u = np.asarray(u, dtype=float)
@@ -258,10 +248,10 @@ def kernel_from_id(spec: str) -> Kernel:
         parts = [float(v) for v in arg.split(",")] if arg else []
         if len(parts) < 2:
             raise ValueError("matern id needs nu,rho[,sigma2]")
-        return matern_kernel(*parts[:3])
+        return MaternKernel(*parts[:3])
     if name == "matern+a2":
         parts = [float(v) for v in arg.split(",")] if arg else [1.5, 0.5]
-        return sum_kernel(matern_kernel(*parts[:3]), scenario_kernel("A", 2))
+        return SumKernel(MaternKernel(*parts[:3]), scenario_kernel("A", 2))
     if name == "bump3":
         pair = counterexample_bump_pair(float(arg) if arg else 0.5)
         return pair[1] if arg else pair[0]

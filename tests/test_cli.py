@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,12 +6,18 @@ import pytest
 
 from fragcov import cli
 from fragcov.cli import main
-from fragcov import CompletionError, select_rank
+from fragcov import (CompletionError, PatchedCovariance, SolveConfig, SymMatrix, band_mask, effective_mask,
+                     estimate_covariance, rank_sweep, select_rank)
 from fragcov.complete import RankSweepResult
 
 
 def _read_matrix(path):
     return np.array([[float(v) for v in line.split(",")] for line in path.read_text().strip().splitlines()])
+
+
+def _patched(values, counts, delta_prime):
+    """The patched covariance the CLI wrote, read back without the CLI's reader."""
+    return PatchedCovariance(SymMatrix(_read_matrix(values), _read_matrix(counts).astype(np.int64)), delta_prime)
 
 
 @pytest.fixture()
@@ -68,35 +75,81 @@ class TestPipeline:
     def test_scree_command(self, pipeline_files, tmp_path):
         _, patched, counts = pipeline_files
         out = tmp_path / "fits.csv"
-        assert main(["scree", "--input", str(patched), "--counts", str(counts),
-                     "--max-rank", "3", "--out", str(out)]) == 0
+        assert main(["complete", "--input", str(patched), "--counts", str(counts), "--max-rank", "3",
+                     "--out", str(tmp_path / "c.csv"), "--scree-out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4
 
+    # the scree covers every rank to --max-rank whatever the rank rule: the library's full sweep
     @pytest.mark.parametrize("rank", ["2", "auto"])
     def test_complete_scree_out_matches_scree(self, pipeline_files, tmp_path, rank):
         _, patched, counts = pipeline_files
         inputs = ["--input", str(patched), "--counts", str(counts), "--max-rank", "3", "--seed", "5"]
         assert main(["complete", *inputs, "--rank", rank, "--out", str(tmp_path / "c.csv"),
                      "--scree-out", str(tmp_path / "a.csv")]) == 0
-        assert main(["scree", *inputs, "--out", str(tmp_path / "b.csv")]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        target = _patched(patched, counts, json.loads(patched.with_suffix(".json").read_text())["delta_effective"])
+        sweep = rank_sweep(target, effective_mask(target), SolveConfig(max_rank_sweep=3, seed=5))
+        assert (tmp_path / "a.csv").read_text() == cli._scree_csv(sweep)
         fits = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
         assert fits.shape == (3, 3)
+        assert np.array_equal(fits[:, 1], sweep.fits)
 
-    # the flag values select a rank other than the default elbow's on this input
-    @pytest.mark.parametrize("flag, value, policy", [("--tau", "0.0002", "penalty:0.0002"),
-                                                     ("--elbow-eps", "0.05", "elbow:0.05")])
-    def test_auto_rank_flags_select_as_policy(self, pipeline_files, tmp_path, capsys, flag, value, policy):
+    # these rules select a rank other than the default elbow's on this input
+    @pytest.mark.parametrize("policy", ["penalty:0.0002", "elbow:0.05"])
+    def test_rank_rule_selects_as_policy(self, pipeline_files, tmp_path, capsys, policy):
         _, patched, counts = pipeline_files
         scree = tmp_path / "fits.csv"
-        assert main(["complete", "--input", str(patched), "--counts", str(counts), "--rank", "auto",
-                     "--max-rank", "4", flag, value, "--out", str(tmp_path / "c.csv"), "--scree-out", str(scree)]) == 0
+        assert main(["complete", "--input", str(patched), "--counts", str(counts), "--rank", policy,
+                     "--max-rank", "4", "--out", str(tmp_path / "c.csv"), "--scree-out", str(scree)]) == 0
         rank = int(capsys.readouterr().out.split("completed at rank ")[1].split()[0])
         table = np.loadtxt(scree, delimiter=",", skiprows=1)
         sweep = RankSweepResult(fits=table[:, 1], normalized_fits=table[:, 2], factors=(), base_fit=1.0)
         assert rank == select_rank(sweep, policy)
         assert rank != select_rank(sweep, "elbow")
+
+    # 'auto' is the elbow rule and a bare q is fixed:q, byte for byte
+    @pytest.mark.parametrize("spellings", [("auto", "elbow", "elbow:0.01"), ("2", "fixed:2")])
+    def test_rank_spellings_agree(self, pipeline_files, tmp_path, spellings):
+        _, patched, counts = pipeline_files
+        outputs = set()
+        for i, rank in enumerate(spellings):
+            out = tmp_path / f"c{i}.csv"
+            assert main(["complete", "--input", str(patched), "--counts", str(counts), "--rank", rank,
+                         "--max-rank", "4", "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    # --delta-prime overrides the sidecar's delta' and reaches the solver's mask
+    def test_delta_prime_reaches_the_mask(self, pipeline_files, tmp_path):
+        _, patched, counts = pipeline_files
+        common = ["complete", "--input", str(patched), "--counts", str(counts), "--rank", "2"]
+        assert main([*common, "--delta-prime", "0.3", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*common, "--out", str(tmp_path / "b.csv")]) == 0
+        target = _patched(patched, counts, 0.3)
+        expected = estimate_covariance(target, SolveConfig(rank_policy="fixed:2"), mask=band_mask(25, 0.3))
+        assert np.array_equal(_read_matrix(tmp_path / "a.csv"), expected.matrix.values)
+        assert not np.array_equal(_read_matrix(tmp_path / "a.csv"), _read_matrix(tmp_path / "b.csv"))
+
+    # a noisy sample is flagged by patch, and complete then leaves the diagonal out of the fit
+    def test_noisy_common_grid_chain(self, tmp_path, monkeypatch):
+        sample, patched, counts = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "c.csv"
+        assert main(["simulate", "--kernel", "scenarioA:2", "--n", "150", "--k", "20", "--delta", "0.6",
+                     "--grid-type", "common", "--noise-sd", "0.5", "--seed", "2", "--out", str(sample)]) == 0
+        assert json.loads(sample.with_suffix(".json").read_text())["noise_sd"] == 0.5
+        assert main(["patch", "--input", str(sample), "--k", "20", "--out", str(patched),
+                     "--counts-out", str(counts)]) == 0
+        assert json.loads(patched.with_suffix(".json").read_text())["noise_flag"] is True
+        masks = []
+
+        def spy(target, config, mask=None, **kwargs):
+            masks.append(mask)
+            return estimate_covariance(target, config, mask=mask, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_covariance", spy)
+        assert main(["complete", "--input", str(patched), "--counts", str(counts), "--rank", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert masks[0].exclude_diagonal and not masks[0].include.diagonal().any()
+        assert np.all(np.isfinite(_read_matrix(tmp_path / "o.csv")))
 
 
 class TestMalformedInput:
@@ -136,20 +189,42 @@ class TestMalformedInput:
         assert np.array_equal(counts, [[4, 2, 0], [2, 1000, 2**53], [0, 2**53, 7]])
 
     # the policy is checked before the input is read (it does not exist here)
-    @pytest.mark.parametrize("flags, policy", [(["--tau", "-1"], "penalty:-1.0"), (["--elbow-eps", "0"], "elbow:0.0"),
-                                               (["--rank", "x"], "fixed:x"), (["--rank", "0"], "fixed:0")])
+    @pytest.mark.parametrize("flags, policy", [(["--rank", "penalty:-1.0"], "penalty:-1.0"),
+                                               (["--rank", "elbow:0.0"], "elbow:0.0"),
+                                               (["--rank", "fixed:x"], "fixed:x"), (["--rank", "0"], "fixed:0")])
     def test_malformed_rank_policy_exits_2(self, tmp_path, capsys, flags, policy):
         status = main(["complete", "--input", str(tmp_path / "absent.csv"), *flags, "--out", str(tmp_path / "o.csv")])
         assert status == 2
         assert capsys.readouterr().err.startswith(f"error: rank policy '{policy}': ")
 
-    # rank rules exclude each other; the flags are checked before the (absent) input is read
-    @pytest.mark.parametrize("flags", [["--rank", "3", "--tau", "0.1"], ["--tau", "0.1", "--elbow-eps", "0.05"],
-                                       ["--rank", "2", "--elbow-eps", "0.05"]])
-    def test_rival_rank_flags_exit_2(self, tmp_path, capsys, flags):
-        status = main(["complete", "--input", str(tmp_path / "absent.csv"), *flags, "--out", str(tmp_path / "o.csv")])
+    def test_unknown_rank_rule_exits_2(self, tmp_path, capsys):
+        status = main(["complete", "--input", str(tmp_path / "absent.csv"), "--rank", "x",
+                       "--out", str(tmp_path / "o.csv")])
         assert status == 2
-        assert capsys.readouterr().err.startswith(f"error: {flags[0]} and {flags[2]} conflict: give one rank rule")
+        assert capsys.readouterr().err.startswith("error: unknown rank policy 'x'")
+
+    # --tau T is --rank penalty:T, --elbow-eps E is --rank elbow:E, and the scree is complete --scree-out
+    @pytest.mark.parametrize("argv, complaint", [
+        (["complete", "--tau", "0.1"], "unrecognized arguments: --tau 0.1"),
+        (["complete", "--elbow-eps", "0.05"], "unrecognized arguments: --elbow-eps 0.05"),
+        (["scree"], "invalid choice: 'scree'"),
+    ])
+    def test_removed_rank_spellings_exit_2(self, tmp_path, capsys, argv, complaint):
+        files = ["--input", str(tmp_path / "p.csv"), "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], *files, *argv[1:]])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fragcov") and complaint in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_delta_prime_zero_exits_2(self, pipeline_files, tmp_path, capsys):
+        _, patched, counts = pipeline_files
+        status = main(["complete", "--input", str(patched), "--counts", str(counts), "--delta-prime", "0",
+                       "--rank", "2", "--out", str(tmp_path / "o.csv"), "--scree-out", str(tmp_path / "s.csv")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: delta_prime must lie in (0, 1)")
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
 
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
@@ -175,6 +250,14 @@ class TestMalformedInput:
         given = ["--table", "T2", "--cells", "0"] if source == "table" else ["--config", str(cfg_path)]
         assert main(["run", *given, "--reps", "0", "--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: replications must be at least 1, got 0")
+        assert not (tmp_path / "r.csv").exists()
+
+    # rejected when the cell is built, where every replication used to fail and the row read nan
+    def test_run_config_that_cannot_run_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"kernel": "scenarioA:1", "grid_type": "type3", "rank_policy": "fixed:1"}')
+        assert main(["run", "--config", str(cfg_path), "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown grid type 'type3'")
         assert not (tmp_path / "r.csv").exists()
 
     def test_run_config_with_a_solve_key_exits_2(self, tmp_path, capsys):

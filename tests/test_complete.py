@@ -520,6 +520,12 @@ class TestStepKernel:
         assert sk(1.0, 1.0) == 4.0  # x = 1 falls in the last cell
         assert sk(0.49, 0.51) == 2.0
 
+    # K is the matrix's size, not a field a caller could set and see ignored
+    def test_K_follows_the_values(self):
+        assert StepKernel(np.eye(3)).K == 3
+        with pytest.raises(TypeError):
+            StepKernel(np.eye(3), K=5)
+
 
 class TestExactBandCompletion:
     def test_rank_one_hand_value(self):

@@ -58,8 +58,9 @@ class TestRunCell:
         assert np.array_equal(a.errors, b.errors)
 
     def test_failures_recorded_not_raised(self):
-        # delta_prime far beyond the fragment length: degenerate mask per replication
-        cfg = ExperimentConfig(**{**SMALL, "delta_prime": 0.05})
+        # delta_prime far below the fragment length: a degenerate mask at each
+        # replication's realized type2 K (at a K known up front the cell is rejected)
+        cfg = ExperimentConfig(**{**SMALL, "K": None, "grid_type": "type2", "delta_prime": 0.05})
         res = run_cell(cfg, workers=1)
         assert len(res.failures) == 4
         assert res.errors.size == 0
@@ -178,6 +179,37 @@ class TestCellChecks:
             ExperimentConfig(**{**SMALL, "replications": replications})
         with pytest.raises(ValueError, match="replications must be at least 1"):
             table_cells("T2", replications=replications)
+
+
+    # each of these failed every replication (median nan) or ran a cell other than
+    # the one it reports; the message is the one the replication raised
+    @pytest.mark.parametrize("field, value, message", [
+        ("grid_type", "type3", "unknown grid type 'type3'"),
+        ("kernel", "nope:1", "unknown kernel id 'nope:1'"),
+        ("delta", (0.9, 0.5), "need 0 < delta_min <= delta_max < 1"),
+        ("K", 1, "K must be at least 2"),
+        ("K", 0, "K must be at least 2"),
+        ("delta_prime", 2.0, "delta must lie in"),
+        ("delta_prime", 0.05, "band degenerate"),
+        ("n", 0, "n must be at least 2, got 0"),
+        ("n", 1, "n must be at least 2, got 1"),
+        ("noise_sd", -1.0, "noise_sd must be nonnegative"),
+    ])
+    def test_cell_that_cannot_run_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{**SMALL, field: value})
+        payload = json.loads(ExperimentConfig(**SMALL).to_json())
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(json.dumps(payload))
+
+    # the delta' band is checked at the K each grid type runs at, where it is known
+    def test_band_checked_at_the_grid_K(self):
+        with pytest.raises(ValueError, match="band degenerate"):
+            ExperimentConfig(kernel="scenarioA:1", K=None, delta=(0.6, 0.6), delta_prime=0.03)
+        with pytest.raises(ValueError, match="band degenerate"):
+            ExperimentConfig(kernel="scenarioA:1", K=None, base_resolution=20, grid_type="type1", delta_prime=0.08)
+        assert ExperimentConfig(kernel="scenarioA:1", K=None, grid_type="type2", delta_prime=0.03).K is None
 
 
 class TestResolvedDeltaPrime:

@@ -6,13 +6,13 @@ from scipy.stats import norm
 
 from fragcov import (
     Grid,
+    MaternKernel,
+    SumKernel,
     counterexample_bump_pair,
     esseen_pair,
     evaluate_on_grid,
     kernel_from_id,
-    matern_kernel,
     scenario_kernel,
-    sum_kernel,
 )
 
 
@@ -45,30 +45,30 @@ class TestScenarioKernels:
 
 class TestMatern:
     def test_value_at_zero_distance(self):
-        k = matern_kernel(1.5, 0.5, 2.0)
+        k = MaternKernel(1.5, 0.5, 2.0)
         assert k(0.3, 0.3) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("d", [0.1, 0.5, 1.0])
     def test_closed_form_nu_three_halves(self, d):
         rho, s2 = 0.5, 1.3
-        k = matern_kernel(1.5, rho, s2)
+        k = MaternKernel(1.5, rho, s2)
         x = math.sqrt(3.0) * d / rho
         assert k.at_distance(d) == pytest.approx(s2 * (1 + x) * math.exp(-x), rel=1e-10)
 
     @pytest.mark.parametrize("d", [0.1, 0.5, 1.0])
     def test_closed_form_nu_five_halves(self, d):
         rho, s2 = 0.8, 1.0
-        k = matern_kernel(2.5, rho, s2)
+        k = MaternKernel(2.5, rho, s2)
         x = math.sqrt(5.0) * d / rho
         expected = s2 * (1 + x + x * x / 3.0) * math.exp(-x)
         assert k.at_distance(d) == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            matern_kernel(-1.0, 0.5)
+            MaternKernel(-1.0, 0.5)
 
     def test_full_numerical_rank_on_grid(self):
-        M = evaluate_on_grid(matern_kernel(1.5, 0.5, 1.0), Grid.regular(50))
+        M = evaluate_on_grid(MaternKernel(1.5, 0.5, 1.0), Grid.regular(50))
         sv = np.linalg.svd(M.values, compute_uv=False)
         assert sv.min() > 0
         assert sv.min() > 1e-14 * sv.max()
@@ -76,16 +76,16 @@ class TestMatern:
 
 class TestSumKernel:
     def test_identity_plus_zero_like(self):
-        m = matern_kernel(1.5, 0.5, 1.0)
-        s = sum_kernel(m, scenario_kernel("A", 2))
+        m = MaternKernel(1.5, 0.5, 1.0)
+        s = SumKernel(m, scenario_kernel("A", 2))
         assert s(0.0, 0.0) == pytest.approx(m(0.0, 0.0) + 1.5)
 
     def test_matern_plus_A2_at_origin(self):
-        s = sum_kernel(matern_kernel(1.5, 0.5, 1.0), scenario_kernel("A", 2))
+        s = SumKernel(MaternKernel(1.5, 0.5, 1.0), scenario_kernel("A", 2))
         assert s(0.0, 0.0) == pytest.approx(2.5)
 
     def test_symmetry(self):
-        s = sum_kernel(matern_kernel(1.5, 0.5, 1.0), scenario_kernel("A", 2))
+        s = SumKernel(MaternKernel(1.5, 0.5, 1.0), scenario_kernel("A", 2))
         assert s(0.2, 0.7) == pytest.approx(s(0.7, 0.2), abs=1e-12)
 
 
