@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .complete import CompletionError, SolveConfig, estimate_covariance, rank_sweep
+from .complete import CompletionError, CovarianceEstimate, SolveConfig, estimate_covariance, parse_rank_policy, rank_sweep
 from .core import Grid, SymMatrix
 from .harness import ExperimentConfig, ingest_fragments
 from .kernels import evaluate_on_grid, kernel_from_id
@@ -122,11 +122,16 @@ def _cmd_complete(args) -> int:
     cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
     patched = _load_patched(args)
     mask = effective_mask(patched)
-    estimate = estimate_covariance(patched, cfg, mask=mask)
+    # the scree covers every rank to --max-rank; under elbow or penalty the
+    # estimate's lazy sweep is a prefix of it, so select from the scree's sweep
+    scree = rank_sweep(patched, mask, cfg) if args.scree_out else None
+    if scree is not None and parse_rank_policy(rank_policy)[0] != "fixed":
+        estimate = CovarianceEstimate.from_sweep(scree, rank_policy)
+    else:
+        estimate = estimate_covariance(patched, cfg, mask=mask)
     _write_matrix(args.out, estimate.matrix.values)
-    if args.scree_out:
-        # estimate.sweep stops at the selected rank; the scree covers every rank to --max-rank
-        Path(args.scree_out).write_text(_scree_csv(rank_sweep(patched, mask, cfg)))
+    if scree is not None:
+        Path(args.scree_out).write_text(_scree_csv(scree))
     print(f"completed at rank {estimate.rank} (fit {estimate.fit:.3e}) -> {args.out}")
     return 0
 

@@ -56,6 +56,8 @@ class CompletionError(RuntimeError):
 
 # each solve method's budget: iteration cap, and gradient tolerance at size K
 _BUDGETS = {"lbfgs": (2000, lambda K: 1e-9 / (K * K)), "bfgs": (100, lambda K: 1e-8)}
+# each solve method's descent, as complete.minimize names it
+_DESCENTS = {"lbfgs": "L-BFGS-B", "bfgs": "BFGS"}
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,11 @@ class SolveConfig:
     """Optimizer and rank-selection settings.
 
     method picks the solve protocol and its budget: "lbfgs" (the default),
-    scipy's L-BFGS-B to 2000 iterations and a gradient tolerance of
-    1e-9 / K^2; or "bfgs", the benchmark-table protocol, a dense BFGS loop
-    (_bfgs: scipy's line search and stopping rules, the inverse Hessian
-    updated in place with symmetric level-2 BLAS) to 100 iterations and 1e-8.
+    L-BFGS-B (_lbfgsb: scipy's routine in scipy's loop) to 2000 iterations
+    and a gradient tolerance of 1e-9 / K^2; or "bfgs", the benchmark-table
+    protocol, a dense BFGS loop (_bfgs: scipy's line search and stopping
+    rules, the inverse Hessian updated in place with symmetric level-2 BLAS)
+    to 100 iterations and 1e-8.
     Any other method, and a rank_policy that parse_rank_policy rejects,
     raise ValueError when the config is built.
     """
@@ -122,10 +125,14 @@ def masked_objective_grad(gamma, target, mask):
     value = K^-2 * sum_mask (gamma gamma^T - target)^2
     grad  = 4 K^-2 * (mask o (gamma gamma^T - target)) gamma
 
-    mask is the K x K boolean inclusion array of a BandMask.
+    mask is the K x K inclusion array of a BandMask, boolean or as 0/1
+    floats; descents pass floats, which spares the cast on every call. The
+    residual is formed in place, in one K x K array.
     """
     K = gamma.shape[0]
-    residual = (gamma @ gamma.T - target) * mask
+    residual = gamma @ gamma.T
+    residual -= target
+    residual *= mask
     inv = 1.0 / (K * K)
     value = inv * float(np.vdot(residual, residual))
     grad = (4.0 * inv) * (residual @ gamma)
@@ -245,13 +252,17 @@ def _single_thread_blas():
                 _set_blas_threads(_pin_saved)
 
 
-def minimize(fun, x0, **options):
-    """scipy.optimize.minimize, imported on first call, so that importing
-    fragcov and the simulate and patch commands load numpy only. Descents
-    call it through this module attribute, which perfbench's tracer wraps."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **options)
+def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> OptimizeResult:
+    """The one descent entry: method "BFGS" runs _bfgs (the table protocol),
+    "L-BFGS-B" runs _lbfgsb (the library protocol). fun(x) returns (value,
+    gradient). scipy is imported on first call, so that importing fragcov and
+    the simulate and patch commands load numpy only. Descents call it through
+    this module attribute, which perfbench's tracer wraps."""
+    if method == "BFGS":
+        return _bfgs(fun, x0, gtol, max_iter)
+    if method == "L-BFGS-B":
+        return _lbfgsb(fun, x0, gtol, max_iter)
+    raise ValueError(f"unknown descent method {method!r}")
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
@@ -337,23 +348,68 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     return OptimizeResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status, success=status == 0)
 
 
+def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
+    """Unbounded L-BFGS-B, iterate for iterate scipy's minimize(method=
+    "L-BFGS-B", jac=True) with maxcor 20 and ftol 1e-18.
+
+    scipy's own loop around its L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu
+    1995), without minimize's per-evaluation bookkeeping: memory 20, factr
+    1e-18 / eps, 20 line-search steps; it stops after max_iter iterations
+    (task 504) or, checked at each new iterate, past 15000 evaluations
+    (scipy's maxfun, task 502), with scipy's status codes (0 converged, 1 a
+    cap hit, 2 any other stop). fun(x) returns (value, gradient) and is
+    evaluated once per distinct x, on a copy, since the routine overwrites x
+    in place; so nfev counts as in scipy.
+    """
+    from scipy.optimize import OptimizeResult
+
+    # scipy's L-BFGS-B routine in reverse communication, private but used so
+    # that fragcov runs minimize's loop without its ScalarFunction wrapping;
+    # TestLBFGSB pins the iterates against minimize.
+    from scipy.optimize._lbfgsb import setulb
+
+    m, maxfun = 20, 15000
+    x = np.array(x0, dtype=np.float64).ravel()
+    n = x.size
+    f, g = 0.0, np.zeros(n)
+    bound, nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd 0: no bound is read
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = 1e-18 / np.finfo(float).eps
+    last_x, last = None, None
+    nit = nfev = 0
+    while True:
+        g = g.astype(np.float64)  # scipy's float64 copy: the routine never holds fun's array
+        setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: the routine wants f and g at x
+            if last_x is None or not (x == last_x).all():
+                last_x = x.copy()
+                last = fun(last_x)
+                nfev += 1
+            f, g = last
+        elif task[0] == 1:  # NEW_X: an iteration is complete
+            nit += 1
+            if nit >= max_iter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= max_iter else 2
+    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status, success=status == 0)
+
+
 def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str):
     K, r = shape
+    weights = include.astype(float)
 
     def fun(x):
-        value, grad = masked_objective_grad(x.reshape(K, r), target, include)
+        value, grad = masked_objective_grad(x.reshape(K, r), target, weights)
         return value, grad.ravel()
 
-    if method == "bfgs":
-        res = _bfgs(fun, x0, gtol, max_iter)
-    else:
-        res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20},
-        )
+    res = minimize(fun, x0, method=_DESCENTS[method], gtol=gtol, max_iter=max_iter)
     _log.debug("descent method=%s nit=%d nfev=%d converged=%s", method, res.nit, res.nfev, res.success)
     if not np.isfinite(res.fun):
         raise CompletionError("diverged: non-finite objective during descent")
@@ -586,6 +642,20 @@ class CovarianceEstimate:
     fit: float
     sweep: RankSweepResult | None = None
 
+    @classmethod
+    def from_factor(cls, factor: LowRankFactor, rank: int, fit: float, sweep: RankSweepResult | None = None):
+        """The estimate gamma gamma^T of a fitted rank-`rank` factor."""
+        matrix = SymMatrix(factor.matrix())
+        return cls(matrix=matrix, rank=rank, step_kernel=StepKernel(matrix.values), fit=fit, sweep=sweep)
+
+    @classmethod
+    def from_sweep(cls, sweep: RankSweepResult, policy: str) -> "CovarianceEstimate":
+        """The estimate at the rank select_rank(sweep, policy) picks, carrying
+        the sweep. From a full sweep under elbow or penalty, its rank, fit and
+        matrix are estimate_covariance's, whose lazy sweep is a prefix of it."""
+        rank = select_rank(sweep, policy)
+        return cls.from_factor(sweep.factors[rank - 1], rank, float(sweep.fits[rank - 1]), sweep)
+
 
 @_single_thread_blas()
 def estimate_covariance(
@@ -612,24 +682,11 @@ def estimate_covariance(
     tvals = _target_values(target)
 
     kind, value = parse_rank_policy(config.rank_policy)
-    sweep = None
     if kind == "fixed":
-        rank = int(value)
-        factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
-    else:
-        sweep = rank_sweep(tvals, mask, config, until=config.rank_policy, rng=rng)
-        rank = select_rank(sweep, config.rank_policy)
-        factor = sweep.factors[rank - 1]
-        fit = float(sweep.fits[rank - 1])
-
-    matrix = SymMatrix(factor.matrix())
-    return CovarianceEstimate(
-        matrix=matrix,
-        rank=rank,
-        step_kernel=StepKernel(matrix.values),
-        fit=fit,
-        sweep=sweep,
-    )
+        factor, fit = solve_fixed_rank(tvals, mask, int(value), config, rng=rng)
+        return CovarianceEstimate.from_factor(factor, int(value), fit)
+    sweep = rank_sweep(tvals, mask, config, until=config.rank_policy, rng=rng)
+    return CovarianceEstimate.from_sweep(sweep, config.rank_policy)
 
 
 def exact_band_completion(band, mask: BandMask, q: int) -> SymMatrix:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fragcov import cli
+from fragcov import cli, complete
 from fragcov.cli import main
 from fragcov import (CompletionError, PatchedCovariance, SolveConfig, SymMatrix, band_mask, effective_mask,
                      estimate_covariance, rank_sweep, select_rank)
@@ -93,6 +93,28 @@ class TestPipeline:
         fits = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1)
         assert fits.shape == (3, 3)
         assert np.array_equal(fits[:, 1], sweep.fits)
+
+    # under elbow or penalty the estimate is selected from the scree's full
+    # sweep, of which estimate_covariance's lazy sweep is a prefix: each rank
+    # is solved once (rank 1 from its eigen start, every later rank also from
+    # a warm start); fixed:q, in any case, still solves rank q alone after the
+    # scree. Either way the completed matrix keeps its bytes
+    @pytest.mark.parametrize("rank, extra", [("auto", []), ("penalty:0.0002", []), ("Fixed:2", [2])])
+    def test_scree_out_solves_each_rank_once(self, pipeline_files, tmp_path, monkeypatch, rank, extra):
+        _, patched, counts = pipeline_files
+        solves, solve = [], complete.solve_fixed_rank
+
+        def counting(target, mask, q, *args, **kwargs):
+            solves.append(q)
+            return solve(target, mask, q, *args, **kwargs)
+
+        monkeypatch.setattr(complete, "solve_fixed_rank", counting)
+        inputs = ["complete", "--input", str(patched), "--counts", str(counts), "--rank", rank, "--max-rank", "4"]
+        assert main([*inputs, "--out", str(tmp_path / "lazy.csv")]) == 0
+        solves.clear()
+        assert main([*inputs, "--out", str(tmp_path / "c.csv"), "--scree-out", str(tmp_path / "s.csv")]) == 0
+        assert solves == [1, 2, 2, 3, 3, 4, 4, *extra]
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "lazy.csv").read_bytes()
 
     # these rules select a rank other than the default elbow's on this input
     @pytest.mark.parametrize("policy", ["penalty:0.0002", "elbow:0.05"])

@@ -37,6 +37,7 @@ from fragcov import complete
 from fragcov.complete import (
     LowRankFactor,
     _bfgs,
+    _lbfgsb,
     _descend,
     _eigen_init,
     _rank_decided,
@@ -257,28 +258,63 @@ class TestDenseBFGS:
         assert methods == ["L-BFGS-B"] * 3
 
 
+class TestLBFGSB:
+    """_lbfgsb drives scipy's L-BFGS-B routine itself: minimize's iterates, bit for bit."""
+
+    # max_iter 5 stops every start at the iteration cap (status 1)
+    @pytest.mark.parametrize("max_iter", [5, 100, 2000])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("K", [25, 50, 100])
+    def test_matches_scipy_lbfgsb(self, K, r, max_iter):
+        fun, x0 = _table_problem(K, r, seed=K + r)
+        gtol = 1e-9 / K**2
+        options = {"maxiter": max_iter, "gtol": gtol, "ftol": 1e-18, "maxcor": 20}
+        ref = minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
+        res = _lbfgsb(fun, x0, gtol, max_iter)
+        assert (res.nit, res.nfev, res.success, res.status) == (ref.nit, ref.nfev, ref.success, ref.status)
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        if max_iter == 5:
+            assert (res.nit, res.status) == (5, 1)
+
+    def test_leaves_the_start_untouched(self):
+        fun, x0 = _table_problem(25, 2, seed=1)
+        start = x0.copy()
+        res = _lbfgsb(fun, x0, 1e-9 / 25**2, 2000)
+        assert np.array_equal(x0, start)
+        assert res.success and res.nit > 0
+
+    def test_stationary_start_takes_no_step(self):
+        fun, _ = _table_problem(25, 2, seed=1)
+        x0 = np.zeros(50)
+        res = _lbfgsb(fun, x0, 1e-9 / 25**2, 2000)
+        assert (res.nit, res.nfev, res.success) == (0, 1, True)
+        assert np.array_equal(res.x, x0)
+
+
 class TestSolveProtocols:
     """method alone picks the descent and its budget."""
 
     def test_method_pins_the_budget(self, monkeypatch):
         calls = []
+        descend = complete.minimize
 
-        def recording_bfgs(fun, x0, gtol, max_iter):
-            calls.append(("bfgs", max_iter, gtol))
-            return _bfgs(fun, x0, gtol, max_iter)
+        def recording_minimize(fun, x0, method, gtol, max_iter):
+            calls.append((method, max_iter, gtol))
+            return descend(fun, x0, method=method, gtol=gtol, max_iter=max_iter)
 
-        def recording_minimize(fun, x0, **options):
-            calls.append((options["method"], options["options"]["maxiter"], options["options"]["gtol"]))
-            return minimize(fun, x0, **options)
-
-        monkeypatch.setattr(complete, "_bfgs", recording_bfgs)
         monkeypatch.setattr(complete, "minimize", recording_minimize)
         banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=3)
         solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs"))
         solve_fixed_rank(banded, mask, 2, SolveConfig(method="lbfgs"))
         solve_fixed_rank(banded, mask, 2)
         lbfgs = ("L-BFGS-B", 2000, 1e-9 / 20**2)
-        assert calls == [("bfgs", 100, 1e-8), lbfgs, lbfgs]
+        assert calls == [("BFGS", 100, 1e-8), lbfgs, lbfgs]
+
+    def test_unknown_descent_rejected(self):
+        fun, x0 = _table_problem(25, 1, seed=1)
+        with pytest.raises(ValueError, match="unknown descent method 'trust-ncg'"):
+            complete.minimize(fun, x0, method="trust-ncg", gtol=1e-8, max_iter=10)
 
     @pytest.mark.parametrize("method", ["BFGS", "newton", ""])
     def test_unknown_method_rejected(self, method):
