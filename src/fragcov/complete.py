@@ -14,19 +14,19 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
+import sys
 import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import BandMask, SeedLike, SymMatrix, as_generator, matrix_values
-
-if TYPE_CHECKING:
-    from scipy.optimize import OptimizeResult
 
 __all__ = [
     "CompletionError",
@@ -186,14 +186,17 @@ _pin_saved: list[int] = []
 def _openblas() -> list[tuple]:
     """(get, set) thread-count functions of the OpenBLAS libraries bundled with
     numpy's and scipy's wheels (each package loads its own, with its own
-    threads). Other BLAS builds are not listed. scipy.optimize is imported
-    first, so that scipy's OpenBLAS is loaded and listed before a solve
-    would load it at its default thread count. Looked up once per process:
-    both libraries are loaded by then and stay loaded."""
+    threads). Other BLAS builds are not listed. scipy's L-BFGS-B extension,
+    which links scipy's OpenBLAS, is loaded first (_setulb, without
+    scipy.optimize), so that scipy's OpenBLAS is loaded and listed before a
+    solve would load it at its default thread count. Looked up once per
+    process: both libraries are loaded by then and stay loaded."""
     global _controls
     if _controls is not None:
         return _controls
-    import scipy.optimize
+    import scipy
+
+    _setulb()
 
     controls = []
     for package in (np, scipy):
@@ -252,12 +255,31 @@ def _single_thread_blas():
                 _set_blas_threads(_pin_saved)
 
 
-def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> OptimizeResult:
+@dataclass(frozen=True)
+class DescentResult:
+    """A descent's end point x with its value and gradient, the iterations
+    and distinct evaluations it took, and its status (0 converged)."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    status: int
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> DescentResult:
     """The one descent entry: method "BFGS" runs _bfgs (the table protocol),
     "L-BFGS-B" runs _lbfgsb (the library protocol). fun(x) returns (value,
-    gradient). scipy is imported on first call, so that importing fragcov and
-    the simulate and patch commands load numpy only. Descents call it through
-    this module attribute, which perfbench's tracer wraps."""
+    gradient). Importing fragcov loads numpy only; scipy is loaded by the
+    first descent, and only what it runs: L-BFGS-B loads scipy's _lbfgsb
+    extension alone (_setulb), BFGS imports scipy.optimize for its line
+    search (_bfgs_routines). Descents call it through this module attribute,
+    which perfbench's tracer wraps."""
     if method == "BFGS":
         return _bfgs(fun, x0, gtol, max_iter)
     if method == "L-BFGS-B":
@@ -265,7 +287,19 @@ def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> OptimizeResult
     raise ValueError(f"unknown descent method {method!r}")
 
 
-def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
+def _bfgs_routines():
+    """What _bfgs runs on: scipy's symmetric level-2 BLAS, and scipy's own
+    BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used so that
+    _bfgs takes scipy's iterates; a parity test pins it against minimize.
+    The line search imports scipy.optimize, which harness.run_cell has this
+    load before it forks a pool, so that the workers inherit it."""
+    from scipy.linalg.blas import dsymv, dsyr, dsyr2
+    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
+
+    return dsymv, dsyr, dsyr2, _LineSearchError, _line_search_wolfe12
+
+
+def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     """Dense BFGS, step for step scipy's BFGS with its default options.
 
     fun(x) returns (value, gradient) and is evaluated once per distinct x, so
@@ -284,13 +318,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     pool; mixing it with numpy's (the objective's) is safe because the solver
     entry points run both on one thread (_single_thread_blas).
     """
-    from scipy.linalg.blas import dsymv, dsyr, dsyr2
-    from scipy.optimize import OptimizeResult
-
-    # scipy's own BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used
-    # so that _bfgs takes scipy's iterates; a parity test pins it against minimize.
-    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
-
+    dsymv, dsyr, dsyr2, LineSearchError, line_search_wolfe12 = _bfgs_routines()
     last_x, last = None, None
     nfev = 0
 
@@ -316,10 +344,10 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     while gnorm > gtol and k < max_iter:
         p = dsymv(-1.0, H, g)
         try:
-            alpha, _, _, fval, old_old_fval, g_next = _line_search_wolfe12(
+            alpha, _, _, fval, old_old_fval, g_next = line_search_wolfe12(
                 value, grad, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9
             )
-        except _LineSearchError:
+        except LineSearchError:
             status = 2
             break
         s = alpha * p
@@ -345,10 +373,32 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
         status = 1
     elif status == 0 and (np.isnan(gnorm) or np.isnan(fval) or np.isnan(x).any()):
         status = 3
-    return OptimizeResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status, success=status == 0)
+    return DescentResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status)
 
 
-def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
+@lru_cache(maxsize=None)
+def _setulb():
+    """scipy's L-BFGS-B routine in reverse communication (setulb), private
+    but used so that fragcov runs minimize's loop without its per-evaluation
+    wrapping; TestLBFGSB pins the iterates against minimize. The _lbfgsb
+    extension is loaded alone from scipy/optimize/, since importing it as
+    scipy.optimize._lbfgsb first runs scipy.optimize's __init__, which
+    imports scipy.linalg, scipy.special, scipy.fft and every solver: about
+    0.4 s on a 2-vCPU machine, where a fixed-rank solve takes 0.01-0.03 s.
+    The module is not entered in sys.modules."""
+    import scipy
+
+    directory = str(Path(scipy.__file__).parent / "optimize")
+    spec = PathFinder.find_spec("_lbfgsb", [directory])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no _lbfgsb extension in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)  # a single-phase extension enters itself when created
+    return module.setulb
+
+
+def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     """Unbounded L-BFGS-B, iterate for iterate scipy's minimize(method=
     "L-BFGS-B", jac=True) with maxcor 20 and ftol 1e-18.
 
@@ -361,13 +411,7 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
     evaluated once per distinct x, on a copy, since the routine overwrites x
     in place; so nfev counts as in scipy.
     """
-    from scipy.optimize import OptimizeResult
-
-    # scipy's L-BFGS-B routine in reverse communication, private but used so
-    # that fragcov runs minimize's loop without its ScalarFunction wrapping;
-    # TestLBFGSB pins the iterates against minimize.
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _setulb()
     m, maxfun = 20, 15000
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size
@@ -398,7 +442,7 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> OptimizeResult:
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= max_iter else 2
-    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status, success=status == 0)
+    return DescentResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status)
 
 
 def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str):

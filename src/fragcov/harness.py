@@ -36,7 +36,7 @@ from .simulate import (
     stage_rng,
 )
 from .patch import patched_binned, patched_regular, trusted_delta_prime
-from .complete import SolveConfig, _openblas, _set_blas_threads, _single_thread_blas
+from .complete import SolveConfig, _bfgs_routines, _set_blas_threads, _single_thread_blas
 from .complete import estimate_covariance, parse_rank_policy
 
 __all__ = [
@@ -67,7 +67,8 @@ class ExperimentConfig:
     sample. A cell that cannot run raises ValueError when it is built, with
     the message its replications would fail with: a malformed rank_policy,
     kernel id, delta or grid_type, n < 2, noise_sd < 0, replications < 1,
-    such a type1 K, or a delta' band that is degenerate at the cell's K.
+    such a type1 K, or a delta' band that is degenerate at the cell's K (for
+    such a type2 cell, at the largest K its samples can draw).
     """
 
     kernel: str
@@ -96,9 +97,13 @@ class ExperimentConfig:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.grid_type == "type1" and self.K not in (None, self.base_resolution):
             raise ValueError(f"type1 cell: K={self.K} must be None or base_resolution ({self.base_resolution})")
-        delta_prime = self.resolved_delta_prime()
-        if (K := self._fixed_K()) is not None:
-            band_mask(K, delta_prime)
+        K = self._fixed_K()
+        if K is None:
+            # every curve's quota is at most ceil(base_resolution * delta[1]), and
+            # a band degenerate at the largest K is degenerate at every smaller K
+            quota = math.ceil(self.base_resolution * float(self.delta[1]))
+            K = _binned_K(self.n * quota, self.n)
+        band_mask(K, self.resolved_delta_prime())
 
     def _fixed_K(self) -> int | None:
         """The bin count where it is known before sampling: K, or 50 on a
@@ -171,6 +176,11 @@ def five_number_summary(values) -> tuple[float, float, float]:
     return med, _mid_median(v[:h]), _mid_median(v[len(v) - h :])
 
 
+def _binned_K(points: int, n: int) -> int:
+    """A type2 cell's bin count from its sample: 4/5 of the mean quota."""
+    return max(2, int(round(4.0 * points / (5.0 * n))))
+
+
 def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     """One replication: simulate, patch, complete, score. Returns (re, K)."""
     kernel = kernel_from_id(config.kernel)
@@ -197,7 +207,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
             truth = evaluate_on_grid(kernel, sample.grid)
         else:
             if K is None:
-                K = max(2, int(round(4.0 * sample.t.size / (5.0 * config.n))))
+                K = _binned_K(sample.t.size, config.n)
             truth = evaluate_on_grid(kernel, (np.arange(K) + 0.5) / K)
         patched = patched_binned(sample, K)
 
@@ -245,7 +255,7 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
         with _single_thread_blas():
             outcomes = [_replicate_worker(t) for t in tasks]
     else:
-        _openblas()  # forked workers inherit scipy instead of each importing it
+        _bfgs_routines()  # forked workers inherit scipy.optimize instead of each importing it
         with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     outcomes.sort(key=lambda o: o[0])

@@ -353,7 +353,7 @@ import fragcov, fragcov.cli
 from fragcov import cli
 
 def scipy_loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules)
+    return sorted(m for m in ("scipy.optimize", "scipy.linalg", "scipy.special") if m in sys.modules)
 
 d = sys.argv[1]
 seen = {"import": scipy_loaded()}
@@ -362,6 +362,11 @@ codes = [cli.main(["simulate", "--kernel", "scenarioA:2", *common, "--out", d + 
 seen["simulate"] = scipy_loaded()
 codes.append(cli.main(["patch", "--input", d + "/a.csv", "--k", "10", "--out", d + "/p.csv", "--counts-out", d + "/c.csv"]))
 seen["patch"] = scipy_loaded()
+inputs = ["complete", "--input", d + "/p.csv", "--counts", d + "/c.csv", "--out", d + "/o.csv"]
+for name, extra in (("rank 3", ["--rank", "3"]), ("auto", ["--rank", "auto"]),
+                    ("scree", ["--rank", "auto", "--scree-out", d + "/s.csv"])):
+    codes.append(cli.main([*inputs, *extra]))
+    seen[name] = scipy_loaded()
 codes.append(cli.main(["simulate", "--kernel", "matern:1.5,0.5", *common, "--out", d + "/m.csv"]))
 seen["matern"] = scipy_loaded()
 print(json.dumps({"codes": codes, "seen": seen}))
@@ -369,7 +374,10 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 
 def test_simulate_and_patch_load_no_scipy_solver(fresh_python, tmp_path):
+    # complete loads scipy's L-BFGS-B extension alone, not scipy.optimize
     out = fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path))
-    assert out["codes"] == [0, 0, 0]
-    assert out["seen"] == {"import": [], "simulate": [], "patch": [], "matern": ["scipy.special"]}
+    assert out["codes"] == [0] * 6
+    assert out["seen"] == {
+        "import": [], "simulate": [], "patch": [], "rank 3": [], "auto": [], "scree": [], "matern": ["scipy.special"]
+    }
     assert (tmp_path / "m.csv").read_text().count("\n") > 40

@@ -1,8 +1,10 @@
+import hashlib
 import logging
 import re
 import warnings
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,12 +286,56 @@ class TestLBFGSB:
         assert np.array_equal(x0, start)
         assert res.success and res.nit > 0
 
+    def test_missing_extension_names_scipy_and_the_directory(self, monkeypatch):
+        monkeypatch.setattr(complete, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+        complete._setulb.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=r"^scipy \S+ has no _lbfgsb extension in \S+optimize$"):
+                complete._setulb()
+        finally:
+            complete._setulb.cache_clear()
+
     def test_stationary_start_takes_no_step(self):
         fun, _ = _table_problem(25, 2, seed=1)
         x0 = np.zeros(50)
         res = _lbfgsb(fun, x0, 1e-9 / 25**2, 2000)
         assert (res.nit, res.nfev, res.success) == (0, 1, True)
         assert np.array_equal(res.x, x0)
+
+
+_PROTOCOL_FOOTPRINT_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from fragcov import SolveConfig, band_mask, estimate_covariance, evaluate_on_grid, scenario_kernel
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.linalg", "_lbfgsb") if m in sys.modules)
+
+K = 30
+truth = evaluate_on_grid(scenario_kernel("A", 2), (np.arange(K) + 0.5) / K)
+mask = band_mask(K, 0.5)
+lbfgs = estimate_covariance(truth, SolveConfig(rank_policy="fixed:2"), mask=mask)
+seen = {"lbfgs": scipy_loaded()}
+bfgs = estimate_covariance(truth, SolveConfig(method="bfgs", rank_policy="fixed:2"), mask=mask)
+seen["bfgs"] = scipy_loaded()
+digests = [hashlib.sha256(est.matrix.values.tobytes()).hexdigest() for est in (lbfgs, bfgs)]
+print(json.dumps({"seen": seen, "digests": digests}))
+"""
+
+
+def test_library_protocol_loads_no_scipy_optimize(fresh_python):
+    # L-BFGS-B loads scipy's _lbfgsb extension alone, unregistered; the table
+    # protocol then imports scipy.optimize for its line search, and both fit
+    # as they do where scipy.optimize was imported first (as in this process)
+    out = fresh_python(_PROTOCOL_FOOTPRINT_SCRIPT)
+    assert out["seen"] == {"lbfgs": [], "bfgs": ["scipy.linalg", "scipy.optimize"]}
+    K = 30
+    truth = evaluate_on_grid(scenario_kernel("A", 2), (np.arange(K) + 0.5) / K)
+    estimates = [
+        estimate_covariance(truth, SolveConfig(method=method, rank_policy="fixed:2"), mask=band_mask(K, 0.5))
+        for method in ("lbfgs", "bfgs")
+    ]
+    assert out["digests"] == [hashlib.sha256(est.matrix.values.tobytes()).hexdigest() for est in estimates]
 
 
 class TestSolveProtocols:
@@ -532,6 +578,20 @@ class TestEstimateCovariance:
             return est.matrix.values.tobytes()
 
         assert estimate(0, rng=np.random.default_rng(7)) == estimate(7) != estimate(0)
+
+    # the fit is in squared units: scaling every value by c scales the estimate by c^2
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("c", [0.5, 4.0])
+    @pytest.mark.parametrize("kernel, q", [(("A", 3), 3), (("B", 2), 2)])
+    def test_scale_equivariance(self, kernel, q, c, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid.perturbed(30, rng)
+        paths = sample_gp(evaluate_on_grid(scenario_kernel(*kernel), grid), n=200, seed=rng)
+        sample = fragment(paths, grid, FragmentLaw.fixed(0.6), seed=rng)
+        config = SolveConfig(rank_policy=f"fixed:{q}")
+        base = estimate_covariance(patched_regular(sample), config).matrix.values
+        scaled = estimate_covariance(patched_regular(replace(sample, x=c * sample.x)), config).matrix.values
+        assert np.linalg.norm(scaled - c * c * base) <= 1e-6 * np.linalg.norm(c * c * base)
 
     def test_mask_required_for_bare_matrix(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fragcov import (
+    CompletionError,
     ExperimentConfig,
     FragmentLaw,
     SolveConfig,
@@ -16,6 +17,7 @@ from fragcov import (
     table_cells,
     write_fragments,
 )
+from fragcov import harness
 from fragcov.harness import five_number_summary, format_table, results_to_csv
 
 
@@ -57,12 +59,15 @@ class TestRunCell:
         b = run_cell(ExperimentConfig(**SMALL), workers=2)
         assert np.array_equal(a.errors, b.errors)
 
-    def test_failures_recorded_not_raised(self):
-        # delta_prime far below the fragment length: a degenerate mask at each
-        # replication's realized type2 K (at a K known up front the cell is rejected)
-        cfg = ExperimentConfig(**{**SMALL, "K": None, "grid_type": "type2", "delta_prime": 0.05})
-        res = run_cell(cfg, workers=1)
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        # a failure no check can see when the cell is built
+        def fail(*args, **kwargs):
+            raise CompletionError("diverged: non-finite objective during descent")
+
+        monkeypatch.setattr(harness, "estimate_covariance", fail)
+        res = run_cell(ExperimentConfig(**SMALL), workers=1)
         assert len(res.failures) == 4
+        assert res.failures[0] == (0, "CompletionError: diverged: non-finite objective during descent")
         assert res.errors.size == 0
         assert np.isnan(res.median)
 
@@ -209,7 +214,15 @@ class TestCellChecks:
             ExperimentConfig(kernel="scenarioA:1", K=None, delta=(0.6, 0.6), delta_prime=0.03)
         with pytest.raises(ValueError, match="band degenerate"):
             ExperimentConfig(kernel="scenarioA:1", K=None, base_resolution=20, grid_type="type1", delta_prime=0.08)
-        assert ExperimentConfig(kernel="scenarioA:1", K=None, grid_type="type2", delta_prime=0.03).K is None
+        # a type2 cell bins at most at round(0.8 * ceil(50 * 0.5)) = 20 here
+        with pytest.raises(ValueError, match="band degenerate"):
+            ExperimentConfig(kernel="scenarioA:1", K=None, grid_type="type2", delta_prime=0.03)
+        assert ExperimentConfig(kernel="scenarioA:1", K=None, grid_type="type2", delta_prime=0.1).K is None
+
+    # every replication of this cell failed at its realized K (24), and the row read nan
+    def test_type2_band_checked_at_its_largest_K(self):
+        with pytest.raises(ValueError, match="band degenerate"):
+            ExperimentConfig(**{**SMALL, "K": None, "grid_type": "type2", "delta_prime": 0.05})
 
 
 class TestResolvedDeltaPrime:
