@@ -20,7 +20,6 @@ from .core import (
 from .kernels import (
     MaternKernel,
     MercerKernel,
-    StationaryKernel,
     SumKernel,
     counterexample_bump_pair,
     esseen_pair,
@@ -77,7 +76,6 @@ __all__ = [
     "relative_error",
     "MaternKernel",
     "MercerKernel",
-    "StationaryKernel",
     "SumKernel",
     "counterexample_bump_pair",
     "esseen_pair",

@@ -13,7 +13,7 @@ import numpy as np
 from . import harness
 from .complete import CompletionError, CovarianceEstimate, SolveConfig, estimate_covariance, parse_rank_policy, rank_sweep
 from .core import Grid, SymMatrix
-from .harness import ExperimentConfig, ingest_fragments
+from .harness import ExperimentConfig, _json_field, _json_object, ingest_fragments
 from .kernels import evaluate_on_grid, kernel_from_id
 from .patch import PatchedCovariance, effective_mask, patched_binned
 from .simulate import (
@@ -106,11 +106,14 @@ def _load_patched(args) -> PatchedCovariance:
     values = _read_matrix(args.input)
     counts = _read_matrix(args.counts, counts=True) if args.counts else None
     meta_path = Path(args.input).with_suffix(".json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    meta = _json_object(meta_path.read_text(), meta_path) if meta_path.exists() else {}
+    delta_effective = args.delta_prime
+    if delta_effective is None:
+        delta_effective = _json_field(meta, "delta_effective", "float | None", meta_path, None)
     return PatchedCovariance(
         matrix=SymMatrix(values, counts),
-        delta_effective=args.delta_prime if args.delta_prime is not None else meta.get("delta_effective"),
-        noise_flag=bool(meta.get("noise_flag", False)),
+        delta_effective=delta_effective,
+        noise_flag=_json_field(meta, "noise_flag", "bool", meta_path, False),
     )
 
 
@@ -138,7 +141,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.config is not None:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_json(Path(args.config).read_text(), source=args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.reps is not None:

@@ -54,10 +54,9 @@ class CompletionError(RuntimeError):
     """Completion failed: singular minor or diverged descent."""
 
 
-# each solve method's budget: iteration cap, and gradient tolerance at size K
-_BUDGETS = {"lbfgs": (2000, lambda K: 1e-9 / (K * K)), "bfgs": (100, lambda K: 1e-8)}
-# each solve method's descent, as complete.minimize names it
-_DESCENTS = {"lbfgs": "L-BFGS-B", "bfgs": "BFGS"}
+# each solve method's descent, as minimize names it, its iteration cap, and
+# its gradient tolerance at size K
+_BUDGETS = {"lbfgs": ("L-BFGS-B", 2000, lambda K: 1e-9 / (K * K)), "bfgs": ("BFGS", 100, lambda K: 1e-8)}
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ class LowRankFactor:
         if g.ndim != 2:
             raise ValueError("factor must be a K x i matrix")
         g.setflags(write=False)
-
-    @property
-    def K(self) -> int:
-        return self.gamma.shape[0]
 
     def matrix(self) -> np.ndarray:
         m = self.gamma @ self.gamma.T
@@ -445,21 +440,6 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     return DescentResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status)
 
 
-def _descend(x0: np.ndarray, shape, target, include, gtol: float, max_iter: int, method: str):
-    K, r = shape
-    weights = include.astype(float)
-
-    def fun(x):
-        value, grad = masked_objective_grad(x.reshape(K, r), target, weights)
-        return value, grad.ravel()
-
-    res = minimize(fun, x0, method=_DESCENTS[method], gtol=gtol, max_iter=max_iter)
-    _log.debug("descent method=%s nit=%d nfev=%d converged=%s", method, res.nit, res.nfev, res.success)
-    if not np.isfinite(res.fun):
-        raise CompletionError("diverged: non-finite objective during descent")
-    return res.x.reshape(K, r), float(res.fun)
-
-
 @_single_thread_blas()
 def solve_fixed_rank(
     target,
@@ -498,10 +478,19 @@ def solve_fixed_rank(
         start = start.copy()
         start[:, dead] = 1e-6 * scale * rng.standard_normal((K, int(dead.sum())))
 
-    max_iter, gtol = _BUDGETS[config.method]
+    method, max_iter, gtol = _BUDGETS[config.method]
+    weights = mask.include.astype(float)
+
+    def fun(x):
+        value, grad = masked_objective_grad(x.reshape(K, rank), tvals, weights)
+        return value, grad.ravel()
 
     def descend(x0):
-        return _descend(x0.ravel(), (K, rank), tvals, mask.include, gtol(K), max_iter, config.method)
+        res = minimize(fun, x0.ravel(), method=method, gtol=gtol(K), max_iter=max_iter)
+        _log.debug("descent method=%s nit=%d nfev=%d converged=%s", config.method, res.nit, res.nfev, res.success)
+        if not np.isfinite(res.fun):
+            raise CompletionError("diverged: non-finite objective during descent")
+        return res.x.reshape(K, rank), float(res.fun)
 
     best_gamma, best_fit = descend(start)
     # restart jitter must be large enough to leave a spurious basin of the
@@ -515,23 +504,25 @@ def solve_fixed_rank(
 
 @dataclass(frozen=True)
 class RankSweepResult:
-    """Fits of the masked low-rank problem for ranks 1..max_rank."""
+    """Fits of the masked low-rank problem for ranks 1..max_rank, their
+    factors, and the zero factor's fit that normalizes them."""
 
     fits: np.ndarray
-    normalized_fits: np.ndarray
     factors: tuple
     base_fit: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "fits", np.array(self.fits, dtype=float))
+        object.__setattr__(self, "factors", tuple(self.factors))
 
     @property
     def max_rank(self) -> int:
         return len(self.fits)
 
-    @classmethod
-    def from_fits(cls, fits, factors, base_fit: float) -> "RankSweepResult":
-        """Sweep of the given per-rank fits, normalized by the zero factor's fit."""
-        fits = np.array(fits, dtype=float)
-        normalized = fits / base_fit if base_fit > 0 else np.zeros_like(fits)
-        return cls(fits=fits, normalized_fits=normalized, factors=tuple(factors), base_fit=base_fit)
+    @property
+    def normalized_fits(self) -> np.ndarray:
+        """fits / base_fit, zeros if base_fit is not positive."""
+        return self.fits / self.base_fit if self.base_fit > 0 else np.zeros_like(self.fits)
 
 
 @_single_thread_blas()
@@ -563,7 +554,7 @@ def rank_sweep(
     base_fit = objective(np.zeros((K, 1)), tvals, mask)
 
     fits, factors = [], []
-    sweep = RankSweepResult.from_fits(fits, factors, base_fit)
+    sweep = RankSweepResult(fits, factors, base_fit)
     prev: np.ndarray | None = None
     for rank in range(1, bound + 1):
         factor, fit = solve_fixed_rank(tvals, mask, rank, config, rng=rng)
@@ -579,7 +570,7 @@ def rank_sweep(
         fits.append(fit)
         factors.append(factor)
         prev = factor.gamma
-        sweep = RankSweepResult.from_fits(fits, factors, base_fit)
+        sweep = RankSweepResult(fits, factors, base_fit)
         if until is not None and _rank_decided(sweep, until):
             break
     _log.debug("sweep policy=%s visited=%d bound=%d", until, sweep.max_rank, bound)

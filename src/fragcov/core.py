@@ -30,42 +30,39 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Grid:
-    """Ordered evaluation points on [0, 1] at resolution K.
+    """Ordered evaluation points on [0, 1]; their count is the resolution K.
 
     For regular or perturbed-regular grids, point j lives in the j-th cell
     [(j-1)/K, j/K] of the regular K-partition.
     """
 
     points: np.ndarray
-    resolution: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size != self.resolution:
-            raise ValueError("grid must hold exactly K points")
-        if self.resolution < 1:
-            raise ValueError("resolution must be positive")
+        if pts.ndim != 1 or pts.size < 1:
+            raise ValueError("grid must hold a nonempty 1-d array of points")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("grid points must lie in [0, 1]")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
         pts.setflags(write=False)
 
+    @property
+    def resolution(self) -> int:
+        return self.points.size
+
     @classmethod
     def regular(cls, K: int) -> "Grid":
         """Midpoint grid: point j at (j - 1/2) / K."""
-        return cls((np.arange(K) + 0.5) / K, K)
+        return cls((np.arange(K) + 0.5) / K)
 
     @classmethod
     def perturbed(cls, K: int, seed: SeedLike = None) -> "Grid":
         """Random grid with point j uniform in its cell [(j-1)/K, j/K]."""
         rng = as_generator(seed)
-        return cls((np.arange(K) + rng.uniform(0.0, 1.0, size=K)) / K, K)
-
-    def is_perturbed_regular(self) -> bool:
-        j = np.arange(self.resolution)
-        return bool(np.all(self.points >= j / self.resolution) and np.all(self.points <= (j + 1) / self.resolution))
+        return cls((np.arange(K) + rng.uniform(0.0, 1.0, size=K)) / K)
 
     def __len__(self) -> int:
         return self.resolution
@@ -75,7 +72,6 @@ class Grid:
 class BandMask:
     """Symmetric 0/1 inclusion mask selecting a band around the diagonal."""
 
-    K: int
     include: np.ndarray
     delta: float
     exclude_diagonal: bool = False
@@ -83,11 +79,15 @@ class BandMask:
     def __post_init__(self):
         inc = np.asarray(self.include, dtype=bool)
         object.__setattr__(self, "include", inc)
-        if inc.shape != (self.K, self.K):
-            raise ValueError("mask shape must be K x K")
+        if inc.ndim != 2 or inc.shape[0] != inc.shape[1]:
+            raise ValueError("mask must be square")
         if not np.array_equal(inc, inc.T):
             raise ValueError("mask must be symmetric")
         inc.setflags(write=False)
+
+    @property
+    def K(self) -> int:
+        return self.include.shape[0]
 
     @property
     def half_width(self) -> int:
@@ -112,7 +112,7 @@ def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
     include = offsets < width
     if exclude_diagonal:
         include &= offsets > 0
-    return BandMask(K=K, include=include, delta=float(delta), exclude_diagonal=exclude_diagonal)
+    return BandMask(include, float(delta), exclude_diagonal)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -54,6 +53,48 @@ __all__ = [
 
 TABLE_IDS = ("T2", "T4", "T5", "T6", "T7")
 GRID_TYPES = ("common", "type1", "type2")
+
+
+# the JSON values each kind of field takes, and how to say so (exact types:
+# json gives true and false as bool, which would pass for an int)
+_NUMBER = (int, float)
+_JSON_KINDS = {
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in _NUMBER, "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "tuple": (lambda v: type(v) is list and len(v) == 2 and all(type(x) in _NUMBER for x in v),
+              "a [min, max] pair of numbers"),
+    "list": (lambda v: type(v) is list and all(type(e) is dict for e in v), "a list of objects"),
+}
+
+
+def _json_object(text: str, source) -> dict:
+    """text parsed as a JSON object; malformed JSON or another JSON value
+    raises ValueError naming source."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _json_field(payload: dict, key: str, kind: str, source, *default):
+    """payload[key], or default[0] if one is given and the key is absent. A
+    missing key, or a value that is not JSON of kind (a _JSON_KINDS key;
+    "kind | None" also takes null), raises ValueError naming source and key."""
+    if key not in payload:
+        if default:
+            return default[0]
+        raise ValueError(f"{source}: missing key {key!r}")
+    value = payload[key]
+    base, _, nullable = kind.partition(" | ")
+    accepts, noun = _JSON_KINDS[base]
+    if not (accepts(value) or (nullable and value is None)):
+        raise ValueError(f"{source}: key {key!r} must be {noun}{' or null' if nullable else ''}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -131,12 +172,16 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        """Inverse of to_json; a key that names no field raises ValueError."""
-        payload = json.loads(text)
+    def from_json(cls, text: str, source="ExperimentConfig JSON") -> "ExperimentConfig":
+        """Inverse of to_json. Malformed JSON, a payload that is not an object
+        and a field of the wrong JSON type raise ValueError naming source (the
+        file the text came from) and the key; so does a key that names no field."""
+        payload = _json_object(text, source)
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        for f in fields(cls):  # f.type is the annotation's text, as _json_field takes it
+            _json_field(payload, f.name, f.type, source, None)
         if "delta" in payload:
             payload["delta"] = tuple(payload["delta"])
         return cls(**payload)
@@ -153,7 +198,6 @@ class ExperimentResult:
     q3: float
     config: ExperimentConfig
     realized_K: int
-    wall_time: float
 
 
 def _mid_median(sorted_vals: np.ndarray) -> float:
@@ -248,7 +292,6 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     solve, which pins itself (complete._single_thread_blas), because
     sample_gp's matmul is threaded too.
     """
-    t0 = time.perf_counter()
     tasks = [(config, rep) for rep in range(config.replications)]
     workers = _worker_count() if workers is None else max(1, workers)
     if workers == 1 or len(tasks) == 1:
@@ -271,7 +314,6 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
         q3=q3,
         config=config,
         realized_K=int(np.median(ks)) if ks else 0,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -440,7 +482,7 @@ def ingest_fragments(path) -> FragmentSample:
     meta = None
     sidecar_path = path.with_suffix(".json")
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
+        meta = _json_object(sidecar_path.read_text(), sidecar_path)
 
     ids, sizes, times, values = [], [], [], []
     for cid, rows in by_curve.items():
@@ -454,7 +496,7 @@ def ingest_fragments(path) -> FragmentSample:
         values.extend(rows[t] for t in ts)
     t, sizes = np.array(times, dtype=float), np.array(sizes, dtype=np.intp)
 
-    entries = meta.get("intervals", []) if meta else []
+    entries = _json_field(meta, "intervals", "list", sidecar_path, []) if meta else []
     if entries and all("curve_id" in e for e in entries):
         by_id = {str(e["curve_id"]): e for e in entries}
     elif meta and len(entries) == len(by_curve):
@@ -465,9 +507,12 @@ def ingest_fragments(path) -> FragmentSample:
         missing = [cid for cid in ids if cid not in by_id]
         if missing:
             raise ValueError(f"{sidecar_path}: no interval for curve {missing[0]!r}")
-        intervals = np.array([[by_id[cid]["start"], by_id[cid]["delta"]] for cid in ids]).reshape(-1, 2)
-        grid_type = meta.get("grid_type", "type2")
-        noise_sd = float(meta.get("noise_sd", 0.0))
+        intervals = np.array(
+            [[_json_field(by_id[cid], key, "float", f"{sidecar_path}: curve {cid!r}") for key in ("start", "delta")]
+             for cid in ids]
+        ).reshape(-1, 2)
+        grid_type = _json_field(meta, "grid_type", "str", sidecar_path, "type2")
+        noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
     else:
         ends = np.cumsum(sizes)
         first, last = t[ends - sizes], t[ends - 1]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "Kernel",
     "MercerKernel",
     "MaternKernel",
-    "StationaryKernel",
     "SumKernel",
     "scenario_kernel",
     "counterexample_bump_pair",
@@ -108,18 +106,6 @@ class MaternKernel(Kernel):
 
 
 @dataclass(frozen=True)
-class StationaryKernel(Kernel):
-    """Kernel r(s,t) = psi(s - t) driven by a lag function."""
-
-    lag_function: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return _maybe_scalar(np.asarray(self.lag_function(np.abs(s - t))))
-
-
-@dataclass(frozen=True)
 class SumKernel(Kernel):
     """Pointwise sum of two kernels."""
 
@@ -200,12 +186,12 @@ def counterexample_bump_pair(lam: float) -> tuple[Kernel, Kernel]:
     return k1, _CallableKernel(second)
 
 
-def esseen_pair() -> tuple[StationaryKernel, StationaryKernel]:
+def esseen_pair() -> tuple[Kernel, Kernel]:
     """Stationary pair agreeing for lags below 1 and differing on lags in (1, 2).
 
-    The first member is the exponential kernel exp(-|u|) of an
-    Ornstein-Uhlenbeck process; the second continues it linearly past lag 1
-    down to zero at lag 2 and vanishes beyond.
+    Both are r(s, t) = psi(s - t). The first is the exponential kernel
+    exp(-|u|) of an Ornstein-Uhlenbeck process; the second continues it
+    linearly past lag 1 down to zero at lag 2 and vanishes beyond.
     """
 
     def psi1(u):
@@ -218,7 +204,7 @@ def esseen_pair() -> tuple[StationaryKernel, StationaryKernel]:
         linear = e1 - e1 * (u - 1.0)
         return np.where(u < 1.0, np.exp(-u), np.where(u < 2.0, linear, 0.0))
 
-    return StationaryKernel(psi1), StationaryKernel(psi2)
+    return _CallableKernel(lambda s, t: psi1(s - t)), _CallableKernel(lambda s, t: psi2(s - t))
 
 
 def evaluate_on_grid(kernel: Kernel, grid) -> SymMatrix:

@@ -20,7 +20,6 @@ __all__ = [
     "patched_regular",
     "patched_binned",
     "effective_mask",
-    "default_delta_prime",
     "trusted_delta_prime",
 ]
 
@@ -81,11 +80,6 @@ def trusted_delta_prime(lengths) -> float | None:
     return float(lengths.min())
 
 
-def default_delta_prime(sample: FragmentSample) -> float | None:
-    """Trusted band of a sample, from its realized fragment lengths."""
-    return trusted_delta_prime(sample.intervals[:, 1])
-
-
 def _patched(sample: FragmentSample, K: int, columns: np.ndarray) -> PatchedCovariance:
     """Patched covariance over K columns, observation k falling in columns[k].
 
@@ -97,7 +91,8 @@ def _patched(sample: FragmentSample, K: int, columns: np.ndarray) -> PatchedCova
     occ = np.bincount(cells, minlength=sample.n * K).reshape(sample.n, K).astype(float)
     acc = np.bincount(cells, weights=sample.x, minlength=sample.n * K).reshape(sample.n, K)
     entries, counts = _pairwise_completed(acc, occ)
-    return PatchedCovariance(SymMatrix(entries, counts.astype(int)), default_delta_prime(sample), sample.noise_sd > 0)
+    delta_prime = trusted_delta_prime(sample.intervals[:, 1])
+    return PatchedCovariance(SymMatrix(entries, counts.astype(int)), delta_prime, sample.noise_sd > 0)
 
 
 def patched_regular(sample: FragmentSample) -> PatchedCovariance:
@@ -127,14 +122,12 @@ def patched_binned(sample: FragmentSample, K: int) -> PatchedCovariance:
     return patched
 
 
-def effective_mask(patched: PatchedCovariance, delta_prime: float | None = None) -> BandMask:
-    """Band mask on which the patched estimator is trusted.
-
-    Excludes the diagonal when the sample was noisy. Raises if the mask
-    would select an entry observed by no curve.
+def effective_mask(patched: PatchedCovariance) -> BandMask:
+    """Band mask on which the patched estimator is trusted: the band of
+    width patched.delta_effective, without the diagonal when the sample was
+    noisy. Raises if the mask would select an entry observed by no curve.
     """
-    if delta_prime is None:
-        delta_prime = patched.delta_effective
+    delta_prime = patched.delta_effective
     if delta_prime is None or not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must lie in (0, 1)")
     mask = band_mask(patched.K, delta_prime, exclude_diagonal=patched.noise_flag)

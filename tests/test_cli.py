@@ -6,8 +6,8 @@ import pytest
 
 from fragcov import cli, complete
 from fragcov.cli import main
-from fragcov import (CompletionError, PatchedCovariance, SolveConfig, SymMatrix, band_mask, effective_mask,
-                     estimate_covariance, rank_sweep, select_rank)
+from fragcov import (CompletionError, ExperimentConfig, PatchedCovariance, SolveConfig, SymMatrix, band_mask,
+                     effective_mask, estimate_covariance, rank_sweep, select_rank)
 from fragcov.complete import RankSweepResult
 
 
@@ -125,7 +125,8 @@ class TestPipeline:
                      "--max-rank", "4", "--out", str(tmp_path / "c.csv"), "--scree-out", str(scree)]) == 0
         rank = int(capsys.readouterr().out.split("completed at rank ")[1].split()[0])
         table = np.loadtxt(scree, delimiter=",", skiprows=1)
-        sweep = RankSweepResult(fits=table[:, 1], normalized_fits=table[:, 2], factors=(), base_fit=1.0)
+        sweep = RankSweepResult(fits=table[:, 1], factors=(), base_fit=table[0, 1] / table[0, 2])
+        np.testing.assert_allclose(sweep.normalized_fits, table[:, 2], rtol=1e-12)
         assert rank == select_rank(sweep, policy)
         assert rank != select_rank(sweep, "elbow")
 
@@ -287,6 +288,33 @@ class TestMalformedInput:
         cfg_path.write_text('{"kernel": "scenarioA:1", "solve": {"method": "bfgs"}}')
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: unknown ExperimentConfig keys: solve")
+
+    # each used to end in a traceback, or in a JSON parser message naming no file
+    @pytest.mark.parametrize("case", ["sidecar_truncated", "sidecar_without_start", "meta_truncated",
+                                      "config_list", "config_n_string", "config_delta_number"])
+    def test_malformed_json_names_the_file(self, pipeline_files, tmp_path, capsys, case):
+        sample, patched, counts = pipeline_files
+        sidecar, meta, config = sample.with_suffix(".json"), patched.with_suffix(".json"), tmp_path / "cfg.json"
+        no_start = json.loads(sidecar.read_text())
+        del no_start["intervals"][0]["start"]
+        cell = json.loads(ExperimentConfig(kernel="scenarioA:1", n=40, K=15, rank_policy="fixed:1").to_json())
+        patch = ["patch", "--input", str(sample), "--out", str(tmp_path / "p.csv"),
+                 "--counts-out", str(tmp_path / "c.csv")]
+        complete = ["complete", "--input", str(patched), "--counts", str(counts), "--out", str(tmp_path / "o.csv")]
+        run = ["run", "--config", str(config), "--reps", "1", "--out", str(tmp_path / "r.csv")]
+        path, text, argv, complaint = {
+            "sidecar_truncated": (sidecar, sidecar.read_text()[:16], patch, "Unterminated string"),
+            "sidecar_without_start": (sidecar, json.dumps(no_start), patch, "curve '0': missing key 'start'"),
+            "meta_truncated": (meta, meta.read_text()[:16], complete, "Unterminated string"),
+            "config_list": (config, json.dumps([cell]), run, "expected a JSON object, got list"),
+            "config_n_string": (config, json.dumps({**cell, "n": "x"}), run, "key 'n' must be an integer, got 'x'"),
+            "config_delta_number": (config, json.dumps({**cell, "delta": 0.5}), run,
+                                    "key 'delta' must be a [min, max] pair of numbers, got 0.5"),
+        }[case]
+        path.write_text(text)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {complaint}")
+        assert not any((tmp_path / out).exists() for out in ("p.csv", "o.csv", "r.csv"))
 
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

@@ -40,7 +40,6 @@ from fragcov.complete import (
     LowRankFactor,
     _bfgs,
     _lbfgsb,
-    _descend,
     _eigen_init,
     _rank_decided,
     masked_objective_grad,
@@ -53,7 +52,7 @@ from fragcov.core import SymMatrix
 
 
 def _full_mask(K):
-    return BandMask(K=K, include=np.ones((K, K), dtype=bool), delta=0.99)
+    return BandMask(np.ones((K, K), dtype=bool), delta=0.99)
 
 
 def _banded(kernel, K, delta, seed):
@@ -230,11 +229,11 @@ class TestDenseBFGS:
         with pytest.raises(CompletionError, match="diverged"):
             solve_fixed_rank(banded, mask, 2, SolveConfig(method="bfgs"), gamma0=np.ones((20, 2)))
 
-    def test_unconverged_descent_is_logged(self, caplog):
+    def test_unconverged_descent_is_logged(self, caplog, monkeypatch):
         banded, mask, _ = _banded(scenario_kernel("A", 3), 30, 0.5, seed=5)
-        start = _eigen_init(banded, 3).ravel()
+        monkeypatch.setitem(complete._BUDGETS, "bfgs", ("BFGS", 5, lambda K: 1e-8))
         with caplog.at_level(logging.DEBUG, logger="fragcov.complete"):
-            _descend(start, (30, 3), banded, mask.include, 1e-8, max_iter=5, method="bfgs")
+            solve_fixed_rank(banded, mask, 3, SolveConfig(method="bfgs"))
         (record,) = [r for r in caplog.records if r.name == "fragcov.complete"]
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == "descent method=bfgs nit=5 nfev=6 converged=False"
@@ -422,13 +421,13 @@ class TestLazySweep:
     )
     @settings(max_examples=300, deadline=None)
     def test_stop_rule_keeps_the_selected_rank(self, fits, base_fit, policy):
-        full = RankSweepResult.from_fits(sorted(fits, reverse=True), (), base_fit)
+        full = RankSweepResult(sorted(fits, reverse=True), (), base_fit)
         stop = next(
             (k for k in range(1, full.max_rank + 1)
-             if _rank_decided(RankSweepResult.from_fits(full.fits[:k], (), base_fit), policy)),
+             if _rank_decided(RankSweepResult(full.fits[:k], (), base_fit), policy)),
             full.max_rank,
         )
-        prefix = RankSweepResult.from_fits(full.fits[:stop], (), base_fit)
+        prefix = RankSweepResult(full.fits[:stop], (), base_fit)
         assert _select_with_warnings_off(prefix, policy) == _select_with_warnings_off(full, policy)
 
     @pytest.mark.parametrize("case, taus", [("readme", (1e-4, 1e-3)), ("scenarioB3", (5e-6, 2e-4))])

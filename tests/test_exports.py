@@ -1,0 +1,18 @@
+"""Every name a module exports exists: a name deleted from a module but left
+in its __all__ would otherwise fail only a star import."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import fragcov
+
+MODULES = ["fragcov"] + [f"fragcov.{m.name}" for m in pkgutil.iter_modules(fragcov.__path__) if m.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []

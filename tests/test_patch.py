@@ -178,7 +178,7 @@ class TestCommonGridMatchesPerCurveLoop:
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical(self, K, delta, ends_on_grid, seed):
-        grid = Grid(np.linspace(0.0, 1.0, K), K) if ends_on_grid else Grid.perturbed(K, seed=seed)
+        grid = Grid(np.linspace(0.0, 1.0, K)) if ends_on_grid else Grid.perturbed(K, seed=seed)
         values = sample_gp(evaluate_on_grid(scenario_kernel("A", 2), grid), 60, seed=seed + 1)
         law = FragmentLaw(*delta)
         sample = fragment(values, grid, law, seed=seed + 2)
@@ -347,7 +347,7 @@ class TestEffectiveMask:
         noisy = add_noise(sample, 1.0, seed=8)
         patched = patched_regular(noisy)
         assert patched.noise_flag
-        mask = effective_mask(patched, 0.5)
+        mask = effective_mask(replace(patched, delta_effective=0.5))
         assert mask.exclude_diagonal
 
     def test_mask_exceeding_support_rejected(self):
@@ -363,7 +363,7 @@ class TestEffectiveMask:
         )
         patched = patched_regular(one)
         with pytest.raises(ValueError, match="mask exceeds data support"):
-            effective_mask(patched, 0.9)
+            effective_mask(replace(patched, delta_effective=0.9))
 
 
 def _invariance_sample(binned, n, K, delta, seed):
