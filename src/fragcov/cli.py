@@ -67,6 +67,13 @@ def _scree_csv(sweep) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell_indices(text: str) -> list[int]:
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated cell indices, got {text!r}") from None
+
+
 def _cmd_simulate(args) -> int:
     if len(args.delta) > 2:
         raise ValueError(f"--delta takes one length or a min,max pair, got {args.delta}")
@@ -80,7 +87,7 @@ def _cmd_simulate(args) -> int:
         sample = fragment_irregular(
             kernel, args.n, law, args.grid_type, base_resolution=args.k, seed=args.seed
         )
-    if args.noise_sd > 0:
+    if args.noise_sd != 0:
         sample = add_noise(sample, args.noise_sd, stage_rng(args.seed, STAGE_NOISE))
     write_fragments(sample, args.out)
     print(f"wrote {sample.n} curves to {args.out}")
@@ -148,12 +155,11 @@ def _cmd_run(args) -> int:
             cfg = replace(cfg, replications=args.reps)
         results = [harness.run_cell(cfg)]
     else:
-        cells = [int(c) for c in args.cells.split(",")] if args.cells else None
         results = harness.run_table(
             args.table,
             seed=args.seed if args.seed is not None else 0,
             replications=args.reps if args.reps is not None else 100,
-            cells=cells,
+            cells=args.cells,
         )
     print(harness.format_table(results), end="")
     if args.out:
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="JSON file mirroring ExperimentConfig")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--cells", default=None, help="comma-separated cell indices to run")
+    p.add_argument("--cells", type=_cell_indices, default=None, help="comma-separated cell indices to run")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=_cmd_run)
     return parser

@@ -69,8 +69,9 @@ class SolveConfig:
     protocol, a dense BFGS loop (_bfgs: scipy's line search and stopping
     rules, the inverse Hessian updated in place with symmetric level-2 BLAS)
     to 100 iterations and 1e-8.
-    Any other method, and a rank_policy that parse_rank_policy rejects,
-    raise ValueError when the config is built.
+    Any other method, a rank_policy that parse_rank_policy rejects,
+    max_rank_sweep or restarts below 1 and seed < 0 raise ValueError when
+    the config is built.
     """
 
     max_rank_sweep: int | None = None
@@ -83,6 +84,12 @@ class SolveConfig:
         if self.method not in _BUDGETS:
             raise ValueError(f"unknown solve method {self.method!r}; expected one of {', '.join(_BUDGETS)}")
         parse_rank_policy(self.rank_policy)
+        if self.max_rank_sweep is not None and self.max_rank_sweep < 1:
+            raise ValueError(f"max_rank_sweep must be at least 1, got {self.max_rank_sweep}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def sweep_bound(self, mask: BandMask) -> int:
         if self.max_rank_sweep is not None:
@@ -673,15 +680,18 @@ class CovarianceEstimate:
 
     matrix: SymMatrix
     rank: int
-    step_kernel: StepKernel
     fit: float
     sweep: RankSweepResult | None = None
 
+    @property
+    def step_kernel(self) -> StepKernel:
+        return StepKernel(self.matrix.values)
+
     @classmethod
-    def from_factor(cls, factor: LowRankFactor, rank: int, fit: float, sweep: RankSweepResult | None = None):
-        """The estimate gamma gamma^T of a fitted rank-`rank` factor."""
-        matrix = SymMatrix(factor.matrix())
-        return cls(matrix=matrix, rank=rank, step_kernel=StepKernel(matrix.values), fit=fit, sweep=sweep)
+    def from_factor(cls, factor: LowRankFactor, fit: float, *, sweep: RankSweepResult | None = None):
+        """The estimate gamma gamma^T of a fitted factor at its rank, gamma's column
+        count (sweep is keyword-only, so a rank passed before the fit raises)."""
+        return cls(SymMatrix(factor.matrix()), factor.gamma.shape[1], fit, sweep)
 
     @classmethod
     def from_sweep(cls, sweep: RankSweepResult, policy: str) -> "CovarianceEstimate":
@@ -689,7 +699,7 @@ class CovarianceEstimate:
         the sweep. From a full sweep under elbow or penalty, its rank, fit and
         matrix are estimate_covariance's, whose lazy sweep is a prefix of it."""
         rank = select_rank(sweep, policy)
-        return cls.from_factor(sweep.factors[rank - 1], rank, float(sweep.fits[rank - 1]), sweep)
+        return cls.from_factor(sweep.factors[rank - 1], float(sweep.fits[rank - 1]), sweep=sweep)
 
 
 @_single_thread_blas()
@@ -719,7 +729,7 @@ def estimate_covariance(
     kind, value = parse_rank_policy(config.rank_policy)
     if kind == "fixed":
         factor, fit = solve_fixed_rank(tvals, mask, int(value), config, rng=rng)
-        return CovarianceEstimate.from_factor(factor, int(value), fit)
+        return CovarianceEstimate.from_factor(factor, fit)
     sweep = rank_sweep(tvals, mask, config, until=config.rank_policy, rng=rng)
     return CovarianceEstimate.from_sweep(sweep, config.rank_policy)
 

@@ -64,9 +64,6 @@ class Grid:
         rng = as_generator(seed)
         return cls((np.arange(K) + rng.uniform(0.0, 1.0, size=K)) / K)
 
-    def __len__(self) -> int:
-        return self.resolution
-
 
 @dataclass(frozen=True)
 class BandMask:

@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .simulate import (
     add_noise,
     fragment,
     fragment_irregular,
+    outside_intervals,
     sample_gp,
     stage_rng,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "TABLE_IDS",
 ]
 
-TABLE_IDS = ("T2", "T4", "T5", "T6", "T7")
 GRID_TYPES = ("common", "type1", "type2")
 
 
@@ -108,8 +108,8 @@ class ExperimentConfig:
     sample. A cell that cannot run raises ValueError when it is built, with
     the message its replications would fail with: a malformed rank_policy,
     kernel id, delta or grid_type, n < 2, noise_sd < 0, replications < 1,
-    such a type1 K, or a delta' band that is degenerate at the cell's K (for
-    such a type2 cell, at the largest K its samples can draw).
+    seed < 0, such a type1 K, or a delta' band that is degenerate at the
+    cell's K (for such a type2 cell, at the largest K its samples can draw).
     """
 
     kernel: str
@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ValueError("noise_sd must be nonnegative")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.grid_type == "type1" and self.K not in (None, self.base_resolution):
             raise ValueError(f"type1 cell: K={self.K} must be None or base_resolution ({self.base_resolution})")
         K = self._fixed_K()
@@ -200,6 +202,29 @@ class ExperimentResult:
     realized_K: int
 
 
+_DELTAS = (0.5, 0.6, 0.7, 0.8, 0.9)
+_DELTA_PAIRS = ((0.4, 0.6), (0.5, 0.7), (0.6, 0.8), (0.7, 0.9))
+
+# each built-in table's cells, in their stable order, as ExperimentConfig fields
+_TABLES = {
+    "T2": [dict(kernel=f"scenario{s}:{q}", delta=(d, d), rank_policy=f"fixed:{q}")
+           for s in ("A", "B") for q in (1, 2, 3) for d in _DELTAS],
+    "T4": [dict(kernel=kernel, delta=(d, d), rank_policy="fixed:2")
+           for kernel in ("matern:1.5,0.5,1.0", "matern:1.5,0.8,1.0", "matern:2.5,0.5,1.0", "matern:2.5,0.8,1.0",
+                          "matern+A2:1.5,0.5", "matern+A2:1.5,0.8", "matern+A2:2.5,0.5", "matern+A2:2.5,0.8")
+           for d in _DELTAS],
+    "T5": [dict(kernel=f"scenarioA:{q}", n=n, K=50, delta=d, grid_type="type1", noise_sd=noise,
+                rank_policy=f"fixed:{q}")
+           for noise in (0.0, 1.0) for n in (200, 400) for q in (1, 2, 3) for d in _DELTA_PAIRS],
+    "T6": [dict(kernel=f"scenarioA:{q}", n=n, K=None, delta=d, grid_type="type2", noise_sd=noise,
+                rank_policy=f"fixed:{q}")
+           for noise in (0.0, 1.0) for n in (200, 400) for q in (1, 2, 3) for d in _DELTA_PAIRS],
+    "T7": [dict(kernel=f"scenarioA:{q}", K=K, delta=(d, d), rank_policy=f"fixed:{q}")
+           for K in (25, 100) for q in (1, 2, 3) for d in _DELTAS],
+}
+TABLE_IDS = tuple(_TABLES)
+
+
 def _mid_median(sorted_vals: np.ndarray) -> float:
     m = len(sorted_vals)
     if m == 0:
@@ -252,7 +277,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
         else:
             if K is None:
                 K = _binned_K(sample.t.size, config.n)
-            truth = evaluate_on_grid(kernel, (np.arange(K) + 0.5) / K)
+            truth = evaluate_on_grid(kernel, Grid.regular(K))
         patched = patched_binned(sample, K)
 
     # The solver mask is the delta' band itself, not intersected with the
@@ -301,7 +326,6 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
         _bfgs_routines()  # forked workers inherit scipy.optimize instead of each importing it
         with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
-    outcomes.sort(key=lambda o: o[0])
     errors = np.array([o[1] for o in outcomes if o[1] is not None])
     failures = tuple((o[0], o[3]) for o in outcomes if o[3] is not None)
     ks = [o[2] for o in outcomes if o[1] is not None]
@@ -319,66 +343,10 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
 
 def table_cells(table: str, seed: int = 0, replications: int = 100) -> list[ExperimentConfig]:
     """Enumerate the cell grid of a built-in benchmark table (stable order)."""
-    table = table.upper()
-    deltas5 = (0.5, 0.6, 0.7, 0.8, 0.9)
-    pairs4 = ((0.4, 0.6), (0.5, 0.7), (0.6, 0.8), (0.7, 0.9))
-    cells: list[ExperimentConfig] = []
-    if table == "T2":
-        for scenario in ("A", "B"):
-            for q in (1, 2, 3):
-                for d in deltas5:
-                    cells.append(
-                        ExperimentConfig(
-                            kernel=f"scenario{scenario}:{q}",
-                            delta=(d, d),
-                            rank_policy=f"fixed:{q}",
-                        )
-                    )
-    elif table == "T4":
-        for base in ("matern", "matern+A2"):
-            for nu in (1.5, 2.5):
-                for rho in (0.5, 0.8):
-                    for d in deltas5:
-                        kid = f"{base}:{nu},{rho}" if base == "matern+A2" else f"matern:{nu},{rho},1.0"
-                        cells.append(
-                            ExperimentConfig(
-                                kernel=kid,
-                                delta=(d, d),
-                                rank_policy="fixed:2",
-                            )
-                        )
-    elif table in ("T5", "T6"):
-        grid_type = "type1" if table == "T5" else "type2"
-        for noise in (0.0, 1.0):
-            for n in (200, 400):
-                for q in (1, 2, 3):
-                    for d in pairs4:
-                        cells.append(
-                            ExperimentConfig(
-                                kernel=f"scenarioA:{q}",
-                                n=n,
-                                K=50 if grid_type == "type1" else None,
-                                delta=d,
-                                grid_type=grid_type,
-                                noise_sd=noise,
-                                rank_policy=f"fixed:{q}",
-                            )
-                        )
-    elif table == "T7":
-        for K in (25, 100):
-            for q in (1, 2, 3):
-                for d in deltas5:
-                    cells.append(
-                        ExperimentConfig(
-                            kernel=f"scenarioA:{q}",
-                            K=K,
-                            delta=(d, d),
-                            rank_policy=f"fixed:{q}",
-                        )
-                    )
-    else:
-        raise ValueError(f"unknown table {table!r}; expected one of {TABLE_IDS}")
-    return [replace(c, replications=replications, seed=seed) for c in cells]
+    cells = _TABLES.get(table.upper())
+    if cells is None:
+        raise ValueError(f"unknown table {table.upper()!r}; expected one of {TABLE_IDS}")
+    return [ExperimentConfig(**cell, replications=replications, seed=seed) for cell in cells]
 
 
 def run_table(
@@ -450,7 +418,9 @@ def ingest_fragments(path) -> FragmentSample:
     if the sidecar has no ids and one interval per curve; else they are
     inferred as [min t, max t] per curve. Curves with fewer than two points
     are dropped with a warning. A row with t outside [0, 1], a non-finite
-    value or a t repeated within its curve is rejected with its path:line.
+    value or a t repeated within its curve is rejected with its path:line; a
+    sidecar interval that does not hold its curve's times, with the sidecar's
+    path, the curve and the time.
     """
     path = Path(path)
     by_curve: dict[str, dict[float, float]] = {}
@@ -511,6 +481,12 @@ def ingest_fragments(path) -> FragmentSample:
             [[_json_field(by_id[cid], key, "float", f"{sidecar_path}: curve {cid!r}") for key in ("start", "delta")]
              for cid in ids]
         ).reshape(-1, 2)
+        outside = outside_intervals(t, sizes, intervals)
+        if outside.any():
+            i = int(np.argmax(outside))
+            k = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+            raise ValueError(f"{sidecar_path}: curve {ids[k]!r}: t={t[i]} outside its interval "
+                             f"(start {intervals[k, 0]}, delta {intervals[k, 1]})")
         grid_type = _json_field(meta, "grid_type", "str", sidecar_path, "type2")
         noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
     else:

@@ -131,11 +131,10 @@ class FragmentSample:
         if t.shape != x.shape or t.shape != (sizes.sum(),):
             raise ValueError("per-curve times and values must align")
         if cols is not None and (
-            self.grid is None or cols.shape != t.shape or np.any((cols < 0) | (cols >= len(self.grid)))
+            self.grid is None or cols.shape != t.shape or np.any((cols < 0) | (cols >= self.grid.resolution))
         ):
             raise ValueError("columns must align with the times and index the grid")
-        lo = np.repeat(iv[:, 0], sizes)
-        if np.any(t < lo - 1e-12) or np.any(t > lo + np.repeat(iv[:, 1], sizes) + 1e-12):
+        if np.any(outside_intervals(t, sizes, iv)):
             raise ValueError("observation outside its declared interval")
 
     @property
@@ -146,6 +145,13 @@ class FragmentSample:
     def times(self) -> tuple:
         """Read-only per-curve views of t."""
         return tuple(np.split(self.t, np.cumsum(self.sizes))[:-1])
+
+
+def outside_intervals(t: np.ndarray, sizes: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Which of the flat times t (sizes[i] of them for curve i) lie outside
+    their curve's interval [start, start + delta], to a slack of 1e-12."""
+    lo = np.repeat(intervals[:, 0], sizes)
+    return (t < lo - 1e-12) | (t > lo + np.repeat(intervals[:, 1], sizes) + 1e-12)
 
 
 def sample_gp(truth, n: int, seed: SeedLike = None) -> np.ndarray:

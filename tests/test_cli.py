@@ -249,6 +249,33 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: delta_prime must lie in (0, 1)")
         assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
 
+    # rejected when the config is built, before any input is read or output written
+    @pytest.mark.parametrize("argv, message", [
+        (["complete", "--input", "absent.csv", "--max-rank", "0", "--out", "o.csv"],
+         "max_rank_sweep must be at least 1, got 0"),
+        (["complete", "--input", "absent.csv", "--max-rank", "-3", "--out", "o.csv"],
+         "max_rank_sweep must be at least 1, got -3"),
+        (["complete", "--input", "absent.csv", "--seed", "-1", "--out", "o.csv"], "seed must be nonnegative, got -1"),
+        (["run", "--table", "T2", "--cells", "0", "--reps", "2", "--seed", "-1", "--out", "o.csv"],
+         "seed must be nonnegative, got -1"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--noise-sd", "-1", "--out", "o.csv"],
+         "noise_sd must be nonnegative"),
+    ])
+    def test_impossible_setting_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    # an empty list or item is an error, not "every cell"
+    @pytest.mark.parametrize("cells", ["", "0,,1", "a", "0.5"])
+    def test_run_cells_must_be_integers(self, tmp_path, capsys, cells):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--table", "T2", "--reps", "1", "--cells", cells, "--out", str(tmp_path / "r.csv")])
+        assert exit_info.value.code == 2
+        assert f"argument --cells: expected comma-separated cell indices, got {cells!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",
                        "--out", str(tmp_path / "s.csv")])

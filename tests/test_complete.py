@@ -2,7 +2,7 @@ import hashlib
 import logging
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -37,6 +37,7 @@ from fragcov import (
 )
 from fragcov import complete
 from fragcov.complete import (
+    CovarianceEstimate,
     LowRankFactor,
     _bfgs,
     _lbfgsb,
@@ -366,6 +367,18 @@ class TestSolveProtocols:
         with pytest.raises(ValueError, match=f"unknown solve method {method!r}"):
             SolveConfig(method=method)
 
+    # each message names the field, where a solve would fail later or silently run one start
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_rank_sweep", 0, "max_rank_sweep must be at least 1, got 0"),
+        ("max_rank_sweep", -3, "max_rank_sweep must be at least 1, got -3"),
+        ("restarts", 0, "restarts must be at least 1, got 0"),
+        ("restarts", -2, "restarts must be at least 1, got -2"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+    ])
+    def test_impossible_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolveConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["max_iter", "grad_tol"])
     def test_budget_is_not_a_field(self, field):
         with pytest.raises(TypeError, match=field):
@@ -552,6 +565,16 @@ class TestEstimateCovariance:
         vals = est.step_kernel(centers[:, None], centers[None, :])
         assert np.array_equal(vals, est.matrix.values)
         assert est.rank == 2
+
+    # the rank is the factor's column count and the step kernel the matrix's,
+    # so neither is a field that could disagree with them
+    def test_rank_and_step_kernel_are_derived(self):
+        est = CovarianceEstimate.from_factor(LowRankFactor(np.arange(18.0).reshape(6, 3)), 0.5)
+        assert [f.name for f in fields(est)] == ["matrix", "rank", "fit", "sweep"]
+        assert (est.rank, est.fit, est.sweep) == (3, 0.5, None)
+        assert est.step_kernel.values is est.matrix.values
+        with pytest.raises(TypeError):
+            CovarianceEstimate.from_factor(LowRankFactor(np.ones((6, 3))), 3, 0.5)  # a rank before the fit
 
     def test_exact_band_low_error(self):
         banded, mask, truth = _banded(scenario_kernel("B", 2), 50, 0.5, seed=11)

@@ -10,6 +10,7 @@ class TestGrid:
     def test_regular_midpoints(self):
         g = Grid.regular(4)
         assert np.allclose(g.points, [0.125, 0.375, 0.625, 0.875])
+        assert g.resolution == 4
 
     def test_perturbed_stays_in_cells(self):
         g = Grid.perturbed(50, seed=3)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -110,6 +112,19 @@ class TestTables:
         assert len(table_cells("T6")) == 48
         assert len(table_cells("T7")) == 30
 
+    # each table's cells, field for field and in their stable order (--cells indexes it)
+    @pytest.mark.parametrize("table, count, digest", [
+        ("T2", 30, "29eb96d2ec7d64608efa5ac0d3071b8907bb42f8ba6f180907fd132ab99b8feb"),
+        ("T4", 40, "b4c04a83858db8f84451fd377083d4803447421c6d13c67a2a967bd2f842f4dd"),
+        ("T5", 48, "fc049545d7a2510af69546de85b7e00c96d85f61de44be3bade65bff95ad0adb"),
+        ("T6", 48, "3f7087985e6832689d13a533d7ddea02784d28b6841d16385bb8677813e1975f"),
+        ("T7", 30, "5cd7f9dc88b30ab012729d8981d69a78cb0398e7a83943b4775b1cfdedd32a5f"),
+    ])
+    def test_cells_pinned(self, table, count, digest):
+        cells = table_cells(table)
+        assert len(cells) == count
+        assert hashlib.sha256("\n".join(c.to_json() for c in cells).encode()).hexdigest() == digest
+
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             table_cells("T9")
@@ -219,6 +234,7 @@ class TestCellChecks:
         ("n", 0, "n must be at least 2, got 0"),
         ("n", 1, "n must be at least 2, got 1"),
         ("noise_sd", -1.0, "noise_sd must be nonnegative"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
     ])
     def test_cell_that_cannot_run_is_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -290,6 +306,19 @@ class TestIngest:
         path.with_suffix(".json").write_text(json.dumps(sidecar))
         with pytest.raises(ValueError, match="no interval for curve 'b'"):
             ingest_fragments(path)
+
+    # the message names the sidecar, the curve and the time, to FragmentSample's slack
+    def test_sidecar_interval_must_hold_its_curve(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nb,0.6,4.0\n")
+        intervals = [{"curve_id": "a", "start": 0.0, "delta": 0.3}, {"curve_id": "b", "start": 0.55, "delta": 0.3}]
+        path.with_suffix(".json").write_text(json.dumps({"intervals": intervals}))
+        sidecar = re.escape(str(path.with_suffix(".json")))
+        with pytest.raises(ValueError, match=rf"^{sidecar}: curve 'b': t=0.5 outside its interval \(start 0.55, delta 0.3\)$"):
+            ingest_fragments(path)
+        intervals[1]["start"] = 0.5 - 1e-13  # within the slack FragmentSample allows
+        path.with_suffix(".json").write_text(json.dumps({"intervals": intervals}))
+        assert ingest_fragments(path).curve_ids == ("a", "b")
 
     def test_short_curve_dropped_with_warning(self, tmp_path):
         path = tmp_path / "f.csv"
