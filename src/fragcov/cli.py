@@ -77,6 +77,9 @@ def _cell_indices(text: str) -> list[int]:
 def _cmd_simulate(args) -> int:
     if len(args.delta) > 2:
         raise ValueError(f"--delta takes one length or a min,max pair, got {args.delta}")
+    for flag, value in (("--n", args.n), ("--k", args.k)):
+        if value < 2:
+            raise ValueError(f"{flag} must be at least 2, got {value}")
     law = FragmentLaw(args.delta[0], args.delta[-1])
     kernel = kernel_from_id(args.kernel)
     if args.grid_type == "common":

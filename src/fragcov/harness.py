@@ -26,12 +26,12 @@ from .simulate import (
     STAGE_NOISE,
     STAGE_PATHS,
     STAGE_SOLVER,
+    GRID_TYPES,
     FragmentLaw,
     FragmentSample,
     add_noise,
     fragment,
     fragment_irregular,
-    outside_intervals,
     sample_gp,
     stage_rng,
 )
@@ -51,9 +51,6 @@ __all__ = [
     "format_table",
     "TABLE_IDS",
 ]
-
-GRID_TYPES = ("common", "type1", "type2")
-
 
 # the JSON values each kind of field takes, and how to say so (exact types:
 # json gives true and false as bool, which would pass for an int)
@@ -258,27 +255,22 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     solve_rng = stage_rng(rep_seed, STAGE_SOLVER)
 
     K = config._fixed_K()
-    if config.grid_type == "common":
+    common = config.grid_type == "common"
+    if common:
         grid = Grid.perturbed(K, stage_rng(rep_seed, STAGE_GRID))
         truth = evaluate_on_grid(kernel, grid)
         paths = sample_gp(truth, config.n, stage_rng(rep_seed, STAGE_PATHS))
         sample = fragment(paths, grid, law, stage_rng(rep_seed, STAGE_INTERVALS))
-        if config.noise_sd > 0:
-            sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
-        patched = patched_regular(sample)
     else:
         sample = fragment_irregular(
             kernel, config.n, law, config.grid_type, base_resolution=config.base_resolution, seed=rep_seed
         )
-        if config.noise_sd > 0:
-            sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
-        if config.grid_type == "type1":
-            truth = evaluate_on_grid(kernel, sample.grid)
-        else:
-            if K is None:
-                K = _binned_K(sample.t.size, config.n)
-            truth = evaluate_on_grid(kernel, Grid.regular(K))
-        patched = patched_binned(sample, K)
+        if K is None:  # a type2 cell bins at its sample's K
+            K = _binned_K(sample.t.size, config.n)
+        truth = evaluate_on_grid(kernel, sample.grid if config.grid_type == "type1" else Grid.regular(K))
+    if config.noise_sd > 0:
+        sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
+    patched = patched_regular(sample) if common else patched_binned(sample, K)
 
     # The solver mask is the delta' band itself, not intersected with the
     # data support: corner pairs can be unobserved under random grids and
@@ -298,6 +290,12 @@ def _replicate_worker(args):
         return rep, None, 0, f"{type(exc).__name__}: {exc}"
 
 
+def _init_pool_worker() -> None:
+    """A pool worker runs replications as run_cell's calling process does."""
+    _set_blas_threads(1)
+    warnings.simplefilter("default")
+
+
 def _worker_count() -> int:
     env = os.environ.get("FRAGCOV_THREADS", "").strip()
     if env:
@@ -315,16 +313,20 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     Replications run the bundled OpenBLAS on one thread, in the calling
     process as in each pool worker: the whole replication, not only the
     solve, which pins itself (complete._single_thread_blas), because
-    sample_gp's matmul is threaded too.
+    sample_gp's matmul is threaded too. They also run under the "default"
+    warnings action whatever the caller's filter, so a warning is shown once
+    per location and process and never turns a replication into a failure.
     """
     tasks = [(config, rep) for rep in range(config.replications)]
     workers = _worker_count() if workers is None else max(1, workers)
     if workers == 1 or len(tasks) == 1:
-        with _single_thread_blas():
+        # one catch_warnings for all: entering one resets the shown-once registry
+        with _single_thread_blas(), warnings.catch_warnings():
+            warnings.simplefilter("default")
             outcomes = [_replicate_worker(t) for t in tasks]
     else:
         _bfgs_routines()  # forked workers inherit scipy.optimize instead of each importing it
-        with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_set_blas_threads, initargs=(1,)) as pool:
+        with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_init_pool_worker) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     errors = np.array([o[1] for o in outcomes if o[1] is not None])
     failures = tuple((o[0], o[3]) for o in outcomes if o[3] is not None)
@@ -418,9 +420,11 @@ def ingest_fragments(path) -> FragmentSample:
     if the sidecar has no ids and one interval per curve; else they are
     inferred as [min t, max t] per curve. Curves with fewer than two points
     are dropped with a warning. A row with t outside [0, 1], a non-finite
-    value or a t repeated within its curve is rejected with its path:line; a
-    sidecar interval that does not hold its curve's times, with the sidecar's
-    path, the curve and the time.
+    value or a t repeated within its curve is rejected with its path:line.
+    The sidecar's grid_type and noise_sd are read whether or not its
+    intervals are used; a sidecar value FragmentSample rejects (an interval
+    that does not hold its curve's times, an unknown grid_type, a negative
+    noise_sd) is reported with the sidecar's path.
     """
     path = Path(path)
     by_curve: dict[str, dict[float, float]] = {}
@@ -449,10 +453,8 @@ def ingest_fragments(path) -> FragmentSample:
                 raise ValueError(f"{path}:{lineno}: curve {cid!r} repeats t={t}")
             rows[t] = v
 
-    meta = None
     sidecar_path = path.with_suffix(".json")
-    if sidecar_path.exists():
-        meta = _json_object(sidecar_path.read_text(), sidecar_path)
+    meta = _json_object(sidecar_path.read_text(), sidecar_path) if sidecar_path.exists() else {}
 
     ids, sizes, times, values = [], [], [], []
     for cid, rows in by_curve.items():
@@ -466,10 +468,10 @@ def ingest_fragments(path) -> FragmentSample:
         values.extend(rows[t] for t in ts)
     t, sizes = np.array(times, dtype=float), np.array(sizes, dtype=np.intp)
 
-    entries = _json_field(meta, "intervals", "list", sidecar_path, []) if meta else []
+    entries = _json_field(meta, "intervals", "list", sidecar_path, [])
     if entries and all("curve_id" in e for e in entries):
         by_id = {str(e["curve_id"]): e for e in entries}
-    elif meta and len(entries) == len(by_curve):
+    elif len(entries) == len(by_curve):
         by_id = dict(zip(by_curve, entries))
     else:
         by_id = None
@@ -481,26 +483,21 @@ def ingest_fragments(path) -> FragmentSample:
             [[_json_field(by_id[cid], key, "float", f"{sidecar_path}: curve {cid!r}") for key in ("start", "delta")]
              for cid in ids]
         ).reshape(-1, 2)
-        outside = outside_intervals(t, sizes, intervals)
-        if outside.any():
-            i = int(np.argmax(outside))
-            k = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
-            raise ValueError(f"{sidecar_path}: curve {ids[k]!r}: t={t[i]} outside its interval "
-                             f"(start {intervals[k, 0]}, delta {intervals[k, 1]})")
-        grid_type = _json_field(meta, "grid_type", "str", sidecar_path, "type2")
-        noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
     else:
         ends = np.cumsum(sizes)
         first, last = t[ends - sizes], t[ends - 1]
         intervals = np.column_stack([first, last - first])
-        grid_type = "type2"
-        noise_sd = 0.0
-    return FragmentSample(
-        t=t,
-        x=np.array(values, dtype=float),
-        sizes=sizes,
-        intervals=intervals,
-        grid_type=grid_type,
-        noise_sd=noise_sd,
-        curve_ids=tuple(ids),
-    )
+    grid_type = _json_field(meta, "grid_type", "str", sidecar_path, "type2")
+    noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
+    try:
+        return FragmentSample(
+            t=t,
+            x=np.array(values, dtype=float),
+            sizes=sizes,
+            intervals=intervals,
+            grid_type=grid_type,
+            noise_sd=noise_sd,
+            curve_ids=tuple(ids),
+        )
+    except ValueError as exc:  # only the sidecar's values can fail FragmentSample's checks
+        raise ValueError(f"{sidecar_path}: {exc}") from None

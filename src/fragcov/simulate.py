@@ -28,6 +28,8 @@ __all__ = [
     "write_fragments",
 ]
 
+GRID_TYPES = ("common", "type1", "type2")
+
 # Fixed spawn order of per-replication child streams, so that toggling one
 # stage (e.g. noise) cannot perturb the draws of the others.
 STAGE_PATHS, STAGE_INTERVALS, STAGE_GRID, STAGE_TIMES, STAGE_NOISE, STAGE_SOLVER = range(6)
@@ -41,6 +43,8 @@ def stage_rng(seed: SeedLike, stage: int) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         raise TypeError("stage_rng needs an int or SeedSequence, not a Generator")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     child = np.random.SeedSequence(seed.entropy, spawn_key=tuple(seed.spawn_key) + (stage,))
@@ -100,7 +104,8 @@ class FragmentSample:
 
     t and x hold every observation time and value back to back in curve
     order, sizes[i] of them for curve i; curve i's times are sorted and lie
-    in its interval [intervals[i, 0], intervals[i, 0] + intervals[i, 1]].
+    in its interval [intervals[i, 0], intervals[i, 0] + intervals[i, 1]], to a
+    slack of 1e-12. grid_type is one of GRID_TYPES and noise_sd is >= 0.
     On a shared grid (common and type1 samples) columns holds the grid index
     of each time, else it is None.
     """
@@ -134,8 +139,17 @@ class FragmentSample:
             self.grid is None or cols.shape != t.shape or np.any((cols < 0) | (cols >= self.grid.resolution))
         ):
             raise ValueError("columns must align with the times and index the grid")
-        if np.any(outside_intervals(t, sizes, iv)):
-            raise ValueError("observation outside its declared interval")
+        if self.grid_type not in GRID_TYPES:
+            raise ValueError(f"unknown grid type {self.grid_type!r}")
+        if not self.noise_sd >= 0:
+            raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        lo = np.repeat(iv[:, 0], sizes)
+        outside = (t < lo - 1e-12) | (t > lo + np.repeat(iv[:, 1], sizes) + 1e-12)
+        if outside.any():
+            i = int(np.argmax(outside))
+            k = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+            raise ValueError(f"curve {self.curve_ids[k]!r}: t={t[i]} outside its interval "
+                             f"(start {iv[k, 0]}, delta {iv[k, 1]})")
 
     @property
     def n(self) -> int:
@@ -145,13 +159,6 @@ class FragmentSample:
     def times(self) -> tuple:
         """Read-only per-curve views of t."""
         return tuple(np.split(self.t, np.cumsum(self.sizes))[:-1])
-
-
-def outside_intervals(t: np.ndarray, sizes: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """Which of the flat times t (sizes[i] of them for curve i) lie outside
-    their curve's interval [start, start + delta], to a slack of 1e-12."""
-    lo = np.repeat(intervals[:, 0], sizes)
-    return (t < lo - 1e-12) | (t > lo + np.repeat(intervals[:, 1], sizes) + 1e-12)
 
 
 def sample_gp(truth, n: int, seed: SeedLike = None) -> np.ndarray:

@@ -50,6 +50,18 @@ class TestPipeline:
         assert np.array_equal(vals, vals.T)
         assert cnts.min() >= 0
 
+    # without its intervals the sidecar still says the sample is noisy
+    def test_patch_keeps_sidecar_noise_without_intervals(self, tmp_path):
+        sample, patched = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(["simulate", "--kernel", "scenarioA:2", "--n", "200", "--delta", "0.5,0.7", "--grid-type", "type2",
+                     "--noise-sd", "1", "--out", str(sample)]) == 0
+        sidecar = json.loads(sample.with_suffix(".json").read_text())
+        del sidecar["intervals"]
+        sample.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert main(["patch", "--input", str(sample), "--k", "25", "--out", str(patched),
+                     "--counts-out", str(tmp_path / "c.csv")]) == 0
+        assert json.loads(patched.with_suffix(".json").read_text())["noise_flag"] is True
+
     def test_complete_fixed_rank(self, pipeline_files, tmp_path):
         _, patched, counts = pipeline_files
         out = tmp_path / "completed.csv"
@@ -260,6 +272,14 @@ class TestMalformedInput:
          "seed must be nonnegative, got -1"),
         (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--noise-sd", "-1", "--out", "o.csv"],
          "noise_sd must be nonnegative"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--seed", "-1", "--out", "o.csv"],
+         "seed must be nonnegative, got -1"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--grid-type", "type2", "--seed", "-1", "--out", "o.csv"],
+         "seed must be nonnegative, got -1"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "0", "--out", "o.csv"], "--n must be at least 2, got 0"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "1", "--out", "o.csv"], "--n must be at least 2, got 1"),
+        (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--k", "1", "--out", "o.csv"],
+         "--k must be at least 2, got 1"),
     ])
     def test_impossible_setting_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -16,3 +16,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# the package's names are its modules' exports, the same objects
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_module_exports_are_package_names(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if getattr(fragcov, n, None) is not getattr(module, n)] == []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -58,10 +59,6 @@ class TestRunCell:
         assert np.all(res.errors >= 0)
         assert not res.failures
 
-    # an elbow cell on a type2 grid can fall back to the maximal sweep rank, which
-    # warns; under the suite's warnings-as-errors that would fail the replication
-    # in this process and in forked workers, but not in spawned ones
-    @pytest.mark.filterwarnings("ignore:elbow threshold never met")
     @settings(max_examples=6, deadline=None)
     @given(
         kernel=st.sampled_from(["scenarioA:1", "scenarioA:2", "scenarioB:1", "scenarioB:2"]),
@@ -80,6 +77,20 @@ class TestRunCell:
         b = run_cell(ExperimentConfig(**cell), workers=2)
         assert a.errors.tobytes() == b.errors.tobytes()
         assert a.failures == b.failures
+
+    # the elbow rule never meets 1e-9 here and warns as it falls back to the
+    # maximal sweep rank; a filter that raises warnings must not fail the replication
+    def test_outcome_ignores_the_callers_warnings_filter(self):
+        cell = ExperimentConfig(kernel="matern:1.5,0.5,1.0", n=40, K=20, delta=(0.6, 0.6), noise_sd=1.0,
+                                rank_policy="elbow:1e-9", replications=2)
+        results = []
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                results.append(run_cell(cell, workers=1))
+        a, b = results
+        assert a.failures == b.failures == ()
+        assert a.errors.size == 2 and a.errors.tobytes() == b.errors.tobytes()
 
     def test_failures_recorded_not_raised(self, monkeypatch):
         # a failure no check can see when the cell is built
@@ -319,6 +330,31 @@ class TestIngest:
         intervals[1]["start"] = 0.5 - 1e-13  # within the slack FragmentSample allows
         path.with_suffix(".json").write_text(json.dumps({"intervals": intervals}))
         assert ingest_fragments(path).curve_ids == ("a", "b")
+
+    # without usable intervals the sidecar still says what the sample is
+    @pytest.mark.parametrize("intervals", [None, [{"start": 0.0, "delta": 0.3}]], ids=["no-intervals", "count-mismatch"])
+    def test_sidecar_noise_read_without_usable_intervals(self, tmp_path, intervals):
+        path = tmp_path / "f.csv"
+        path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nb,0.6,4.0\n")
+        sidecar = {"grid_type": "type1", "noise_sd": 0.5}
+        if intervals is not None:
+            sidecar["intervals"] = intervals
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        sample = ingest_fragments(path)
+        assert (sample.grid_type, sample.noise_sd) == ("type1", 0.5)
+        assert np.allclose(sample.intervals, [[0.1, 0.1], [0.5, 0.1]])  # inferred
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("noise_sd", -1, "noise_sd must be nonnegative, got -1.0"),
+        ("grid_type", "typo", "unknown grid type 'typo'"),
+    ])
+    def test_sidecar_value_sample_rejects_names_the_sidecar(self, tmp_path, key, value, message):
+        path = tmp_path / "f.csv"
+        path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\n")
+        path.with_suffix(".json").write_text(json.dumps({key: value}))
+        sidecar = re.escape(str(path.with_suffix(".json")))
+        with pytest.raises(ValueError, match=rf"^{sidecar}: {re.escape(message)}$"):
+            ingest_fragments(path)
 
     def test_short_curve_dropped_with_warning(self, tmp_path):
         path = tmp_path / "f.csv"

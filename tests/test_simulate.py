@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -286,13 +287,26 @@ class TestFragmentSample:
 
     # other-curve: 0.375 lies in the first curve's interval, not in its own curve's
     @pytest.mark.parametrize(
-        "changes",
-        [dict(intervals=[[0.2, 0.3], [0.6, 0.3]]), dict(intervals=[[0.1, 0.2], [0.6, 0.3]]),
-         dict(sizes=[1, 3], intervals=[[0.1, 0.6], [0.6, 0.3]])],
+        "changes, message",
+        [(dict(intervals=[[0.2, 0.3], [0.6, 0.3]]), "curve 0: t=0.125 outside its interval (start 0.2, delta 0.3)"),
+         (dict(intervals=[[0.1, 0.2], [0.6, 0.3]]), "curve 0: t=0.375 outside its interval (start 0.1, delta 0.2)"),
+         (dict(sizes=[1, 3], intervals=[[0.1, 0.6], [0.6, 0.3]]),
+          "curve 1: t=0.375 outside its interval (start 0.6, delta 0.3)")],
         ids=["before-start", "after-end", "other-curve"],
     )
-    def test_time_outside_its_interval(self, changes):
-        with pytest.raises(ValueError, match="observation outside its declared interval"):
+    def test_time_outside_its_interval(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self._sample(**changes)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [(dict(grid_type="typo"), "unknown grid type 'typo'"),
+         (dict(noise_sd=-1.0), "noise_sd must be nonnegative, got -1.0"),
+         (dict(noise_sd=float("nan")), "noise_sd must be nonnegative, got nan")],
+        ids=["grid-type", "negative-noise", "nan-noise"],
+    )
+    def test_grid_type_and_noise_must_be_valid(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self._sample(**changes)
 
 
