@@ -37,8 +37,9 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def _read_matrix(path, counts: bool = False) -> np.ndarray:
-    """The CSV's numeric rows; with counts, as integers, each entry a whole
-    number in [0, 2^53] (beyond that a float no longer holds every integer)."""
+    """The CSV's numeric rows, a square symmetric matrix (by SymMatrix's rule);
+    with counts, as integers, each entry a whole number in [0, 2^53] (beyond
+    that a float no longer holds every integer)."""
     rows, linenos = [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -51,13 +52,17 @@ def _read_matrix(path, counts: bool = False) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: {len(rows[-1])} entries, expected {len(rows[0])}")
         linenos.append(lineno)
     matrix = np.array(rows)
-    if not counts:
-        return matrix
-    bad = ~((matrix >= 0) & (matrix <= 2.0**53) & (matrix == np.floor(matrix)))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"{path}:{linenos[i]}: count {float(matrix[i, j])!r} is not a whole number in [0, 2^53]")
-    return matrix.astype(np.int64)
+    if counts:
+        bad = ~((matrix >= 0) & (matrix <= 2.0**53) & (matrix == np.floor(matrix)))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"{path}:{linenos[i]}: count {float(matrix[i, j])!r} is not a whole number in [0, 2^53]")
+        matrix = matrix.astype(np.int64)
+    try:
+        SymMatrix(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return matrix
 
 
 def _scree_csv(sweep) -> str:
@@ -72,6 +77,13 @@ def _cell_indices(text: str) -> list[int]:
         return [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated cell indices, got {text!r}") from None
+
+
+def _lengths(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a fragment length or a min,max pair, got {text!r}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -98,6 +110,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_patch(args) -> int:
+    if args.k < 2:
+        raise ValueError(f"--k must be at least 2, got {args.k}")
     sample = ingest_fragments(args.input)
     patched = patched_binned(sample, args.k)
     _write_matrix(args.out, patched.values)
@@ -115,6 +129,8 @@ def _cmd_patch(args) -> int:
 def _load_patched(args) -> PatchedCovariance:
     values = _read_matrix(args.input)
     counts = _read_matrix(args.counts, counts=True) if args.counts else None
+    if counts is not None and counts.shape != values.shape:
+        raise ValueError(f"{args.counts}: counts shape {counts.shape} must match values {values.shape} in {args.input}")
     meta_path = Path(args.input).with_suffix(".json")
     meta = _json_object(meta_path.read_text(), meta_path) if meta_path.exists() else {}
     delta_effective = args.delta_prime
@@ -150,20 +166,12 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = {k: v for k, v in (("seed", args.seed), ("replications", args.reps)) if v is not None}
     if args.config is not None:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text(), source=args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.reps is not None:
-            cfg = replace(cfg, replications=args.reps)
-        results = [harness.run_cell(cfg)]
+        results = [harness.run_cell(replace(cfg, **given))]
     else:
-        results = harness.run_table(
-            args.table,
-            seed=args.seed if args.seed is not None else 0,
-            replications=args.reps if args.reps is not None else 100,
-            cells=args.cells,
-        )
+        results = harness.run_table(args.table, cells=args.cells, **given)
     print(harness.format_table(results), end="")
     if args.out:
         Path(args.out).write_text(harness.results_to_csv(results))
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True, help="kernel id, e.g. scenarioA:2 or matern:1.5,0.5,1.0")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--k", type=int, default=50, help="grid resolution (base resolution for type2)")
-    p.add_argument("--delta", type=lambda s: [float(v) for v in s.split(",")], default=[0.5])
+    p.add_argument("--delta", type=_lengths, default=[0.5], help="fragment length, or a min,max pair")
     p.add_argument("--grid-type", choices=harness.GRID_TYPES, default="common")
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BandMask, SeedLike, SymMatrix, as_generator, matrix_values
+from .core import BandMask, SeedLike, SymMatrix, _eigen_root, as_generator, matrix_values
 
 __all__ = [
     "CompletionError",
@@ -161,10 +161,8 @@ def _target_values(target) -> np.ndarray:
 
 def _eigen_init(target: np.ndarray, rank: int) -> np.ndarray:
     """Top-rank eigenpair start U_i Lambda_i^(1/2), negative eigenvalues clipped."""
-    vals, vecs = np.linalg.eigh(target)
-    order = np.argsort(vals)[::-1][:rank]
-    lam = np.clip(vals[order], 0.0, None)
-    return vecs[:, order] * np.sqrt(lam)
+    root, vals = _eigen_root(target)
+    return root[:, np.argsort(vals)[::-1][:rank]]
 
 
 # OpenBLAS's thread-count functions as the supported numpy and scipy wheels
@@ -289,6 +287,21 @@ def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> DescentResult:
     raise ValueError(f"unknown descent method {method!r}")
 
 
+class _EvaluateOnce:
+    """A descent's fun(x) -> (value, gradient), called once per distinct x, on
+    a copy (L-BFGS-B overwrites x in place); nfev counts as scipy counts."""
+
+    def __init__(self, fun):
+        self.fun, self.x, self.last, self.nfev = fun, None, None, 0
+
+    def __call__(self, x):
+        if self.x is None or not np.array_equal(x, self.x):
+            self.x = np.array(x)
+            self.last = self.fun(self.x)
+            self.nfev += 1
+        return self.last
+
+
 def _bfgs_routines():
     """What _bfgs runs on: scipy's symmetric level-2 BLAS, and scipy's own
     BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used so that
@@ -304,8 +317,8 @@ def _bfgs_routines():
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     """Dense BFGS, step for step scipy's BFGS with its default options.
 
-    fun(x) returns (value, gradient) and is evaluated once per distinct x, so
-    nfev counts as in scipy. The stopping rules, line search and status codes
+    fun(x) returns (value, gradient) and is evaluated once per distinct x
+    (_EvaluateOnce). The stopping rules, line search and status codes
     are scipy's (0 converged, 1 iteration cap, 2 line search failed or
     non-finite value, 3 NaN). Only the inverse Hessian differs: scipy forms
     (I - rho s y^T) H (I - rho y s^T) + rho s s^T with two n x n x n products
@@ -321,15 +334,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     entry points run both on one thread (_single_thread_blas).
     """
     dsymv, dsyr, dsyr2, LineSearchError, line_search_wolfe12 = _bfgs_routines()
-    last_x, last = None, None
-    nfev = 0
-
-    def value_grad(x):
-        nonlocal last_x, last, nfev
-        if last_x is None or not np.array_equal(x, last_x):
-            last_x, last = np.array(x), fun(x)
-            nfev += 1
-        return last
+    value_grad = _EvaluateOnce(fun)
 
     def value(x):
         return value_grad(x)[0]
@@ -375,7 +380,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
         status = 1
     elif status == 0 and (np.isnan(gnorm) or np.isnan(fval) or np.isnan(x).any()):
         status = 3
-    return DescentResult(x=x, fun=fval, jac=g, nit=k, nfev=nfev, status=status)
+    return DescentResult(x=x, fun=fval, jac=g, nit=k, nfev=value_grad.nfev, status=status)
 
 
 @lru_cache(maxsize=None)
@@ -410,8 +415,7 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     (task 504) or, checked at each new iterate, past 15000 evaluations
     (scipy's maxfun, task 502), with scipy's status codes (0 converged, 1 a
     cap hit, 2 any other stop). fun(x) returns (value, gradient) and is
-    evaluated once per distinct x, on a copy, since the routine overwrites x
-    in place; so nfev counts as in scipy.
+    evaluated once per distinct x (_EvaluateOnce).
     """
     setulb = _setulb()
     m, maxfun = 20, 15000
@@ -424,27 +428,23 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
     lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
     factr = 1e-18 / np.finfo(float).eps
-    last_x, last = None, None
-    nit = nfev = 0
+    value_grad = _EvaluateOnce(fun)
+    nit = 0
     while True:
         g = g.astype(np.float64)  # scipy's float64 copy: the routine never holds fun's array
         setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == 3:  # FG: the routine wants f and g at x
-            if last_x is None or not (x == last_x).all():
-                last_x = x.copy()
-                last = fun(last_x)
-                nfev += 1
-            f, g = last
+            f, g = value_grad(x)
         elif task[0] == 1:  # NEW_X: an iteration is complete
             nit += 1
             if nit >= max_iter:
                 task[:] = 5, 504
-            elif nfev > maxfun:
+            elif value_grad.nfev > maxfun:
                 task[:] = 5, 502
         else:
             break
-    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= max_iter else 2
-    return DescentResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status)
+    status = 0 if task[0] == 4 else 1 if value_grad.nfev > maxfun or nit >= max_iter else 2
+    return DescentResult(x=x, fun=f, jac=g, nit=nit, nfev=value_grad.nfev, status=status)
 
 
 @_single_thread_blas()
@@ -737,14 +737,15 @@ def estimate_covariance(
 def exact_band_completion(band, mask: BandMask, q: int) -> SymMatrix:
     """Unique rank-q completion of an exactly banded matrix.
 
-    Fills unknown entries diagonal-by-diagonal outward. The unknown at
+    Fills unknown entries outward, one whole diagonal per step. The unknown at
     (j, l), l > j, is the root of the vanishing determinant of a
     (q+1) x (q+1) window whose only unknown is (j, l): rows spread evenly
     over {j..l-1} and columns over {j+1..l}, so every other window entry
     lies strictly closer to the diagonal and is already known. (Spread
     windows keep the pivot minor well conditioned; consecutive rows are
-    nearly dependent on fine grids.) Requires a noiseless band of
-    half-width at least 2q with the diagonal included.
+    nearly dependent on fine grids.) Requires a noiseless band of half-width
+    at least 2q with the diagonal included; a singular minor raises
+    CompletionError naming the first such entry of its diagonal.
     """
     if mask.exclude_diagonal:
         raise ValueError("exact completion needs the diagonal inside the band")
@@ -758,24 +759,21 @@ def exact_band_completion(band, mask: BandMask, q: int) -> SymMatrix:
     if width < 2 * q:
         raise ValueError(f"band half-width {width} too narrow for rank {q} (needs >= {2 * q})")
     R[~mask.include] = 0.0
-
     for offset in range(width, K):
-        for j in range(K - offset):
-            l = j + offset
-            rows = np.round(np.linspace(j, l - 1, q + 1)).astype(int)
-            cols = np.round(np.linspace(j + 1, l, q + 1)).astype(int)
-            window = R[np.ix_(rows, cols)]
-            # unknown sits at the window's top-right corner
-            minor = np.delete(np.delete(window, 0, axis=0), q, axis=1)
-            a = (-1.0) ** q * np.linalg.det(minor)
-            zeroed = window.copy()
-            zeroed[0, q] = 0.0
-            b = np.linalg.det(zeroed)
-            norm = max(np.linalg.norm(zeroed), 1e-300)
-            if abs(a) < 1e-12 * norm:
-                raise CompletionError(
-                    "singular minor: completion not identifiable from this submatrix"
-                )
-            x = -b / a
-            R[j, l] = R[l, j] = x
+        j = np.arange(K - offset)
+        windows = R[_spread(j, offset, q)[:, :, None], _spread(j + 1, offset, q)[:, None, :]]
+        # each unknown sits at its window's top-right corner
+        a = (-1.0) ** q * np.linalg.det(windows[:, 1:, :q])
+        windows[:, 0, q] = 0.0
+        b = np.linalg.det(windows)
+        bad = np.flatnonzero(np.abs(a) < 1e-12 * np.maximum(np.linalg.norm(windows, axis=(1, 2)), 1e-300))
+        if bad.size:
+            raise CompletionError(f"singular minor at ({bad[0]}, {bad[0] + offset}): "
+                                  "completion not identifiable from this submatrix")
+        R[j, j + offset] = R[j + offset, j] = -b / a
     return SymMatrix(R)
+
+
+def _spread(starts: np.ndarray, offset: int, q: int) -> np.ndarray:
+    """From each start s, q + 1 indices spread evenly over s..s + offset - 1, rounded."""
+    return np.round(np.linspace(starts, starts + offset - 1, q + 1, axis=-1)).astype(int)

@@ -28,6 +28,13 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _eigen_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vecs * sqrt(vals clipped at 0), vals) from eigh: a square root of a
+    symmetric matrix, or of each in a stack, and its unclipped eigenvalues."""
+    vals, vecs = np.linalg.eigh(cov)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :], vals
+
+
 @dataclass(frozen=True)
 class Grid:
     """Ordered evaluation points on [0, 1]; their count is the resolution K.

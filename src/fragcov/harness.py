@@ -222,24 +222,16 @@ _TABLES = {
 TABLE_IDS = tuple(_TABLES)
 
 
-def _mid_median(sorted_vals: np.ndarray) -> float:
-    m = len(sorted_vals)
-    if m == 0:
-        return float("nan")
-    if m % 2:
-        return float(sorted_vals[m // 2])
-    return 0.5 * float(sorted_vals[m // 2 - 1] + sorted_vals[m // 2])
-
-
 def five_number_summary(values) -> tuple[float, float, float]:
-    """(median, q1, q3) by the midpoint rule on the sorted values and on the
-    lower/upper halves (middle element excluded when the count is odd)."""
+    """(median, q1, q3): the medians of the sorted values and of their lower
+    and upper halves (middle element excluded when the count is odd), NaN for
+    no values. A NaN value gives NaN, and a -0.0 quartile may come back 0.0;
+    run_cell passes neither (failures are left out, relative errors are >= 0)."""
     v = np.sort(np.asarray(values, dtype=float))
-    med = _mid_median(v)
     h = len(v) // 2
     if h == 0:
-        return med, med, med
-    return med, _mid_median(v[:h]), _mid_median(v[len(v) - h :])
+        return (float(v[0]) if len(v) else float("nan"),) * 3
+    return float(np.median(v)), float(np.median(v[:h])), float(np.median(v[len(v) - h :]))
 
 
 def _binned_K(points: int, n: int) -> int:
@@ -331,7 +323,7 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     errors = np.array([o[1] for o in outcomes if o[1] is not None])
     failures = tuple((o[0], o[3]) for o in outcomes if o[3] is not None)
     ks = [o[2] for o in outcomes if o[1] is not None]
-    med, q1, q3 = five_number_summary(errors) if errors.size else (float("nan"),) * 3
+    med, q1, q3 = five_number_summary(errors)
     return ExperimentResult(
         errors=errors,
         failures=failures,

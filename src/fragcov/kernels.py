@@ -219,6 +219,14 @@ def evaluate_on_grid(kernel: Kernel, grid) -> SymMatrix:
     return SymMatrix(M)
 
 
+def _number(spec: str, kind, text: str):
+    """text as kind (int or float), or a ValueError naming the kernel id spec."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"kernel id {spec!r}: {exc}") from None
+
+
 def kernel_from_id(spec: str) -> Kernel:
     """Resolve a kernel from a string id.
 
@@ -229,17 +237,16 @@ def kernel_from_id(spec: str) -> Kernel:
     name, _, arg = spec.partition(":")
     name = name.lower()
     if name in ("scenarioa", "scenariob"):
-        return scenario_kernel(name[-1], int(arg or 1))
-    if name == "matern":
-        parts = [float(v) for v in arg.split(",")] if arg else []
-        if len(parts) < 2:
+        return scenario_kernel(name[-1], _number(spec, int, arg or "1"))
+    if name in ("matern", "matern+a2"):
+        default = [] if name == "matern" else [1.5, 0.5]
+        parts = [_number(spec, float, v) for v in arg.split(",")] if arg else default
+        if not 2 <= len(parts) <= 3:
             raise ValueError("matern id needs nu,rho[,sigma2]")
-        return MaternKernel(*parts[:3])
-    if name == "matern+a2":
-        parts = [float(v) for v in arg.split(",")] if arg else [1.5, 0.5]
-        return SumKernel(MaternKernel(*parts[:3]), scenario_kernel("A", 2))
+        matern = MaternKernel(*parts)
+        return matern if name == "matern" else SumKernel(matern, scenario_kernel("A", 2))
     if name == "bump3":
-        pair = counterexample_bump_pair(float(arg) if arg else 0.5)
+        pair = counterexample_bump_pair(_number(spec, float, arg) if arg else 0.5)
         return pair[1] if arg else pair[0]
     if name == "esseen":
         pair = esseen_pair()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, SeedLike, as_generator, matrix_values
+from .core import Grid, SeedLike, _eigen_root, as_generator, matrix_values
 from .kernels import Kernel, evaluate_on_grid
 
 __all__ = [
@@ -168,12 +168,9 @@ def sample_gp(truth, n: int, seed: SeedLike = None) -> np.ndarray:
     [-1e-6 * max, 0) are clipped to zero, anything lower is rejected.
     """
     cov = matrix_values(truth)
-    vals, vecs = np.linalg.eigh(cov)
-    top = max(vals.max(), 0.0)
-    if vals.min() < -1e-6 * top:
+    root, vals = _eigen_root(cov)
+    if vals.min() < -1e-6 * max(vals.max(), 0.0):
         raise ValueError("covariance is not PSD")
-    vals = np.clip(vals, 0.0, None)
-    root = vecs * np.sqrt(vals)
     rng = as_generator(seed)
     z = rng.standard_normal((n, cov.shape[0]))
     return z @ root.T
@@ -210,9 +207,7 @@ def _sample_curve_values(kernel: Kernel, times: np.ndarray, z: np.ndarray) -> np
     kernel's symmetrized matrix at its times, as sample_gp does for one matrix."""
     cov = np.asarray(kernel(times[:, :, None], times[:, None, :]), dtype=float)
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    vals, vecs = np.linalg.eigh(cov)
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
-    return np.matmul(root, z[:, :, None])[:, :, 0]
+    return np.matmul(_eigen_root(cov)[0], z[:, :, None])[:, :, 0]
 
 
 def fragment_irregular(

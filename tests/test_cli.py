@@ -280,6 +280,14 @@ class TestMalformedInput:
         (["simulate", "--kernel", "scenarioA:1", "--n", "1", "--out", "o.csv"], "--n must be at least 2, got 1"),
         (["simulate", "--kernel", "scenarioA:1", "--n", "5", "--k", "1", "--out", "o.csv"],
          "--k must be at least 2, got 1"),
+        (["patch", "--input", "absent.csv", "--k", "1", "--out", "p.csv", "--counts-out", "c.csv"],
+         "--k must be at least 2, got 1"),
+        (["patch", "--input", "absent.csv", "--k", "0", "--out", "p.csv", "--counts-out", "c.csv"],
+         "--k must be at least 2, got 0"),
+        (["simulate", "--kernel", "scenarioA:x", "--out", "o.csv"],
+         "kernel id 'scenarioA:x': invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--kernel", "matern:1.5,abc", "--out", "o.csv"],
+         "kernel id 'matern:1.5,abc': could not convert string to float: 'abc'"),
     ])
     def test_impossible_setting_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -295,6 +303,32 @@ class TestMalformedInput:
         assert exit_info.value.code == 2
         assert f"argument --cells: expected comma-separated cell indices, got {cells!r}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_simulate_delta_must_be_numbers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--kernel", "scenarioA:1", "--delta", "a", "--out", str(tmp_path / "s.csv")])
+        assert exit_info.value.code == 2
+        assert "argument --delta: expected a fragment length or a min,max pair, got 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    # each used to exit 2 with SymMatrix's message alone, naming no file
+    @pytest.mark.parametrize("values, counts, culprit, message", [
+        ("", None, "values", "matrix must be square"),
+        ("1,0.5,0\n0.5,1,0\n", None, "values", "matrix must be square"),
+        ("1,0.5\n0.4,1\n", None, "values", "matrix must be symmetric"),
+        ("1,0.5\n0.5,1\n", "2,1\n0,2\n", "counts", "matrix must be symmetric"),
+        ("1,0.5\n0.5,1\n", "2,1,1\n1,2,1\n1,1,2\n", "counts", "counts shape (3, 3) must match values (2, 2) in "),
+    ])
+    def test_malformed_matrix_names_its_file(self, tmp_path, capsys, values, counts, culprit, message):
+        paths = {"values": tmp_path / "values.csv", "counts": tmp_path / "counts.csv"}
+        paths["values"].write_text(values)
+        argv = ["complete", "--input", str(paths["values"]), "--rank", "1", "--out", str(tmp_path / "o.csv")]
+        if counts is not None:
+            paths["counts"].write_text(counts)
+            argv += ["--counts", str(paths["counts"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {paths[culprit]}: {message}")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_simulate_rejects_three_lengths(self, tmp_path, capsys):
         status = main(["simulate", "--kernel", "scenarioA:1", "--n", "5", "--delta", "0.3,0.9,0.5",

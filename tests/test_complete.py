@@ -680,6 +680,25 @@ class TestExactBandCompletion:
             off = ~mask.include
             assert np.abs(completed.values - truth.values)[off].max() > 1e-6
 
+    # the regular grid's first window on the first unknown diagonal is singular
+    def test_singular_minor_names_its_entry(self):
+        k1, _ = counterexample_bump_pair(0.5)
+        truth = evaluate_on_grid(k1, Grid.regular(60)).values
+        mask = band_mask(60, 0.4)  # half-width 23
+        with pytest.raises(CompletionError, match=re.escape("singular minor at (0, 23): completion not identifiable")):
+            exact_band_completion(truth * mask.include, mask, 3)
+
+    # the batched windows take the rows and columns a per-entry np.linspace gives
+    def test_window_indices_match_per_window_linspace(self):
+        for q in range(1, 9):
+            for offset in range(2, 400):
+                j = np.unique(np.r_[0:5, 5 : 400 - offset : 41, 399 - offset])
+                rows, cols = complete._spread(j, offset, q), complete._spread(j + 1, offset, q)
+                for i, start in enumerate(j):
+                    l = start + offset
+                    assert np.array_equal(rows[i], np.round(np.linspace(start, l - 1, q + 1)).astype(int))
+                    assert np.array_equal(cols[i], np.round(np.linspace(start + 1, l, q + 1)).astype(int))
+
     def test_narrow_band_rejected(self):
         mask = band_mask(20, 0.3)  # half-width 5 < 2q for q=3
         with pytest.raises(ValueError, match="too narrow"):

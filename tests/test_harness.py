@@ -47,6 +47,22 @@ class TestFiveNumberSummary:
     def test_unsorted_input(self):
         assert five_number_summary([3.0, 1.0, 2.0])[0] == 2.0
 
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=119))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_midpoint_rule_bit_for_bit(self, values):
+        def midpoint(v):
+            m = len(v)
+            if m == 0:
+                return float("nan")
+            return float(v[m // 2]) if m % 2 else 0.5 * float(v[m // 2 - 1] + v[m // 2])
+
+        v = np.sort(np.asarray(values, dtype=float))
+        h = len(v) // 2
+        want = (midpoint(v),) * 3 if h == 0 else (midpoint(v), midpoint(v[:h]), midpoint(v[len(v) - h :]))
+        # bit for bit once zeros are unsigned: np.median sums from +0.0, so it
+        # returns +0.0 where the midpoint rule keeps -0.0
+        assert (np.array(five_number_summary(values)) + 0.0).tobytes() == (np.array(want) + 0.0).tobytes()
+
 
 SMALL = dict(kernel="scenarioA:1", n=60, K=20, delta=(0.6, 0.6), rank_policy="fixed:1", replications=4, seed=3)
 
@@ -246,6 +262,7 @@ class TestCellChecks:
         ("n", 1, "n must be at least 2, got 1"),
         ("noise_sd", -1.0, "noise_sd must be nonnegative"),
         ("seed", -1, "seed must be nonnegative, got -1"),
+        ("kernel", "scenarioA:x", "kernel id 'scenarioA:x': invalid literal for int"),
     ])
     def test_cell_that_cannot_run_is_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,13 @@ class TestKernelIds:
         k2 = kernel_from_id("bump3:0.5")
         assert k2(1 / 6, 5 / 6) != k1(1 / 6, 5 / 6)
         assert kernel_from_id("esseen:2")(0.0, 1.5) == pytest.approx(0.5 * math.exp(-1))
+
+    # matern+A2 with one number ended in a TypeError traceback; a fourth number was ignored
+    @pytest.mark.parametrize("kid", ["matern", "matern:1.5", "matern:1.5,0.5,1.0,9", "matern+A2:1.5",
+                                     "matern+A2:1.5,0.5,1.0,9"])
+    def test_matern_ids_need_two_or_three_numbers(self, kid):
+        with pytest.raises(ValueError, match=re.escape("matern id needs nu,rho[,sigma2]")):
+            kernel_from_id(kid)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
