@@ -12,23 +12,12 @@ import numpy as np
 
 from . import harness
 from .complete import CompletionError, CovarianceEstimate, SolveConfig, estimate_covariance, parse_rank_policy, rank_sweep
-from .core import Grid, SymMatrix
-from .harness import ExperimentConfig, _json_field, _json_object, ingest_fragments
-from .kernels import evaluate_on_grid, kernel_from_id
+from .core import SymMatrix
+from .harness import ExperimentConfig, _draw_sample, _json_field, _json_object, ingest_fragments
+from .kernels import kernel_from_id
 from .patch import PatchedCovariance, effective_mask, patched_binned
-from .simulate import (
-    STAGE_GRID,
-    STAGE_INTERVALS,
-    STAGE_NOISE,
-    STAGE_PATHS,
-    FragmentLaw,
-    add_noise,
-    fragment,
-    fragment_irregular,
-    sample_gp,
-    stage_rng,
-    write_fragments,
-)
+from .simulate import FragmentLaw, write_fragments
+from .simulate import fragment_irregular  # noqa: F401 - not called here; perfbench/spans.py patches it by name
 
 
 def _write_matrix(path, matrix: np.ndarray) -> None:
@@ -37,9 +26,9 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def _read_matrix(path, counts: bool = False) -> np.ndarray:
-    """The CSV's numeric rows, a square symmetric matrix (by SymMatrix's rule);
-    with counts, as integers, each entry a whole number in [0, 2^53] (beyond
-    that a float no longer holds every integer)."""
+    """The CSV's numeric rows, a square symmetric matrix (by SymMatrix's rule)
+    of finite entries; with counts, as integers, each entry a whole number in
+    [0, 2^53] (beyond that a float no longer holds every integer)."""
     rows, linenos = [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -50,6 +39,8 @@ def _read_matrix(path, counts: bool = False) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: non-numeric entry in {line!r}") from exc
         if len(rows[-1]) != len(rows[0]):
             raise ValueError(f"{path}:{lineno}: {len(rows[-1])} entries, expected {len(rows[0])}")
+        if not counts and not np.isfinite(rows[-1]).all():  # a count fails the whole-number check below
+            raise ValueError(f"{path}:{lineno}: non-finite entry in {line!r}")
         linenos.append(lineno)
     matrix = np.array(rows)
     if counts:
@@ -93,17 +84,7 @@ def _cmd_simulate(args) -> int:
         if value < 2:
             raise ValueError(f"{flag} must be at least 2, got {value}")
     law = FragmentLaw(args.delta[0], args.delta[-1])
-    kernel = kernel_from_id(args.kernel)
-    if args.grid_type == "common":
-        grid = Grid.perturbed(args.k, stage_rng(args.seed, STAGE_GRID))
-        paths = sample_gp(evaluate_on_grid(kernel, grid), args.n, stage_rng(args.seed, STAGE_PATHS))
-        sample = fragment(paths, grid, law, stage_rng(args.seed, STAGE_INTERVALS))
-    else:
-        sample = fragment_irregular(
-            kernel, args.n, law, args.grid_type, base_resolution=args.k, seed=args.seed
-        )
-    if args.noise_sd != 0:
-        sample = add_noise(sample, args.noise_sd, stage_rng(args.seed, STAGE_NOISE))
+    sample = _draw_sample(kernel_from_id(args.kernel), args.n, law, args.grid_type, args.k, args.noise_sd, args.seed)
     write_fragments(sample, args.out)
     print(f"wrote {sample.n} curves to {args.out}")
     return 0
@@ -116,11 +97,7 @@ def _cmd_patch(args) -> int:
     patched = patched_binned(sample, args.k)
     _write_matrix(args.out, patched.values)
     _write_matrix(args.counts_out, patched.counts)
-    meta = {
-        "K": patched.K,
-        "delta_effective": patched.delta_effective,
-        "noise_flag": patched.noise_flag,
-    }
+    meta = {"delta_effective": patched.delta_effective, "noise_flag": patched.noise_flag}
     Path(args.out).with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
     print(f"patched {patched.K}x{patched.K} matrix -> {args.out}")
     return 0
@@ -136,6 +113,8 @@ def _load_patched(args) -> PatchedCovariance:
     delta_effective = args.delta_prime
     if delta_effective is None:
         delta_effective = _json_field(meta, "delta_effective", "float | None", meta_path, None)
+        if delta_effective is not None and not 0 < delta_effective < 1:
+            raise ValueError(f"{meta_path}: key 'delta_effective' must lie in (0, 1), got {delta_effective!r}")
     return PatchedCovariance(
         matrix=SymMatrix(values, counts),
         delta_effective=delta_effective,

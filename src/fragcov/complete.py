@@ -36,8 +36,6 @@ __all__ = [
     "StepKernel",
     "CovarianceEstimate",
     "masked_objective_grad",
-    "objective",
-    "gradient",
     "solve_fixed_rank",
     "rank_sweep",
     "select_rank",
@@ -115,12 +113,6 @@ class LowRankFactor:
         return 0.5 * (m + m.T)
 
 
-def _factor_values(gamma) -> np.ndarray:
-    if isinstance(gamma, LowRankFactor):
-        return gamma.gamma
-    return np.ascontiguousarray(gamma, dtype=float)
-
-
 def masked_objective_grad(gamma, target, mask):
     """Fused value and gradient of the masked factorized fit.
 
@@ -139,20 +131,6 @@ def masked_objective_grad(gamma, target, mask):
     value = inv * float(np.vdot(residual, residual))
     grad = (4.0 * inv) * (residual @ gamma)
     return value, grad
-
-
-def objective(gamma, target, mask: BandMask) -> float:
-    """Masked squared Frobenius misfit of gamma gamma^T, scaled by K^-2."""
-    g = _factor_values(gamma)
-    value, _ = masked_objective_grad(g, _target_values(target), mask.include)
-    return value
-
-
-def gradient(gamma, target, mask: BandMask) -> np.ndarray:
-    """Exact gradient of the objective in gamma: 4 K^-2 (mask o (gamma gamma^T - target)) gamma."""
-    g = _factor_values(gamma)
-    _, grad = masked_objective_grad(g, _target_values(target), mask.include)
-    return grad
 
 
 def _target_values(target) -> np.ndarray:
@@ -558,7 +536,7 @@ def rank_sweep(
     K = tvals.shape[0]
     rng = as_generator(config.seed if rng is None else rng)
     bound = min(config.sweep_bound(mask), K)
-    base_fit = objective(np.zeros((K, 1)), tvals, mask)
+    base_fit = masked_objective_grad(np.zeros((K, 1)), tvals, mask.include)[0]
 
     fits, factors = [], []
     sweep = RankSweepResult(fits, factors, base_fit)

@@ -172,18 +172,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str, source="ExperimentConfig JSON") -> "ExperimentConfig":
-        """Inverse of to_json. Malformed JSON, a payload that is not an object
-        and a field of the wrong JSON type raise ValueError naming source (the
-        file the text came from) and the key; so does a key that names no field."""
+        """Inverse of to_json. Malformed JSON, a payload that is not an object,
+        a field of the wrong JSON type, a key that names no field and a cell
+        that cannot run raise ValueError naming source (the file the text came
+        from)."""
         payload = _json_object(text, source)
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+            raise ValueError(f"{source}: unknown {cls.__name__} keys: {', '.join(unknown)}")
         for f in fields(cls):  # f.type is the annotation's text, as _json_field takes it
             _json_field(payload, f.name, f.type, source, None)
         if "delta" in payload:
             payload["delta"] = tuple(payload["delta"])
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -239,29 +243,33 @@ def _binned_K(points: int, n: int) -> int:
     return max(2, int(round(4.0 * points / (5.0 * n))))
 
 
+def _draw_sample(kernel, n: int, law: FragmentLaw, grid_type: str, K: int, noise_sd: float, seed) -> FragmentSample:
+    """The sample `fragcov simulate` writes and a replication fits: n curves
+    of kernel on a perturbed K-grid (common) or on irregular grids of base
+    resolution K (type1, type2), plus noise when noise_sd != 0 (negative
+    raises), each draw from its stage stream of seed (an int or a SeedSequence)."""
+    if grid_type == "common":
+        grid = Grid.perturbed(K, stage_rng(seed, STAGE_GRID))
+        paths = sample_gp(evaluate_on_grid(kernel, grid), n, stage_rng(seed, STAGE_PATHS))
+        sample = fragment(paths, grid, law, stage_rng(seed, STAGE_INTERVALS))
+    else:
+        sample = fragment_irregular(kernel, n, law, grid_type, base_resolution=K, seed=seed)
+    if noise_sd != 0:
+        sample = add_noise(sample, noise_sd, stage_rng(seed, STAGE_NOISE))
+    return sample
+
+
 def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     """One replication: simulate, patch, complete, score. Returns (re, K)."""
     kernel = kernel_from_id(config.kernel)
     rep_seed = np.random.SeedSequence(config.seed, spawn_key=(rep,))
-    law = config.law()
-    solve_rng = stage_rng(rep_seed, STAGE_SOLVER)
-
     K = config._fixed_K()
     common = config.grid_type == "common"
-    if common:
-        grid = Grid.perturbed(K, stage_rng(rep_seed, STAGE_GRID))
-        truth = evaluate_on_grid(kernel, grid)
-        paths = sample_gp(truth, config.n, stage_rng(rep_seed, STAGE_PATHS))
-        sample = fragment(paths, grid, law, stage_rng(rep_seed, STAGE_INTERVALS))
-    else:
-        sample = fragment_irregular(
-            kernel, config.n, law, config.grid_type, base_resolution=config.base_resolution, seed=rep_seed
-        )
-        if K is None:  # a type2 cell bins at its sample's K
-            K = _binned_K(sample.t.size, config.n)
-        truth = evaluate_on_grid(kernel, sample.grid if config.grid_type == "type1" else Grid.regular(K))
-    if config.noise_sd > 0:
-        sample = add_noise(sample, config.noise_sd, stage_rng(rep_seed, STAGE_NOISE))
+    sample = _draw_sample(kernel, config.n, config.law(), config.grid_type, K if common else config.base_resolution,
+                          config.noise_sd, rep_seed)
+    if K is None:  # a type2 cell bins at its sample's K
+        K = _binned_K(sample.t.size, config.n)
+    truth = evaluate_on_grid(kernel, sample.grid if sample.grid is not None else Grid.regular(K))
     patched = patched_regular(sample) if common else patched_binned(sample, K)
 
     # The solver mask is the delta' band itself, not intersected with the
@@ -269,7 +277,7 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     # uniform starts, and the zero-filled target handles them.
     mask = band_mask(K, config.resolved_delta_prime(), exclude_diagonal=patched.noise_flag)
     solve = SolveConfig(method="bfgs", rank_policy=config.rank_policy)
-    estimate = estimate_covariance(patched, solve, mask=mask, rng=solve_rng)
+    estimate = estimate_covariance(patched, solve, mask=mask, rng=stage_rng(rep_seed, STAGE_SOLVER))
     return relative_error(estimate.matrix, truth), K
 
 

@@ -249,6 +249,7 @@ def kernel_from_id(spec: str) -> Kernel:
         pair = counterexample_bump_pair(_number(spec, float, arg) if arg else 0.5)
         return pair[1] if arg else pair[0]
     if name == "esseen":
-        pair = esseen_pair()
-        return pair[1] if arg == "2" else pair[0]
+        if arg not in ("", "2"):
+            raise ValueError(f"kernel id {spec!r}: esseen takes no argument or 2")
+        return esseen_pair()[1 if arg else 0]
     raise ValueError(f"unknown kernel id {spec!r}")

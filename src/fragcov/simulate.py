@@ -309,7 +309,6 @@ def write_fragments(sample: FragmentSample, path) -> None:
     lines = ["curve_id,t,value", *rows]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
-        "n": sample.n,
         "grid_type": sample.grid_type,
         "noise_sd": sample.noise_sd,
         "intervals": [

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fragcov import cli, complete
+from fragcov import cli, complete, harness
 from fragcov.cli import main
+from fragcov.kernels import kernel_from_id
+from fragcov.simulate import FragmentLaw, write_fragments
 from fragcov import (CompletionError, ExperimentConfig, PatchedCovariance, SolveConfig, SymMatrix, band_mask,
                      effective_mask, estimate_covariance, rank_sweep, select_rank)
 from fragcov.complete import RankSweepResult
@@ -41,6 +43,19 @@ class TestPipeline:
         assert out.exists() and out.with_suffix(".json").exists()
         header = out.read_text().splitlines()[0]
         assert header == "curve_id,t,value"
+
+    # simulate and every replication draw by one recipe, harness._draw_sample
+    @pytest.mark.parametrize("grid_type", ["common", "type1", "type2"])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+    def test_simulate_writes_the_shared_draw(self, tmp_path, grid_type, noise_sd):
+        cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["simulate", "--kernel", "scenarioA:2", "--n", "12", "--k", "20", "--delta", "0.4,0.6",
+                     "--grid-type", grid_type, "--noise-sd", str(noise_sd), "--seed", "3", "--out", str(cli_out)]) == 0
+        sample = harness._draw_sample(kernel_from_id("scenarioA:2"), 12, FragmentLaw(0.4, 0.6), grid_type, 20,
+                                      noise_sd, 3)
+        write_fragments(sample, lib_out)
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+        assert cli_out.with_suffix(".json").read_bytes() == lib_out.with_suffix(".json").read_bytes()
 
     def test_patch_outputs(self, pipeline_files):
         _, patched, counts = pipeline_files
@@ -216,6 +231,16 @@ class TestMalformedInput:
         assert err.rstrip().endswith("is not a whole number in [0, 2^53]")
         assert not (tmp_path / "o.csv").exists()
 
+    # inf used to end in "diverged: non-finite objective", nan in "matrix must be symmetric";
+    # a non-finite count is not a whole number (above)
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    def test_non_finite_matrix_entry_reports_line(self, tmp_path, capsys, entry):
+        values = tmp_path / "values.csv"
+        values.write_text(f"1.0,0.5\n\n0.5,{entry}\n")
+        assert main(["complete", "--input", str(values), "--rank", "1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {values}:3: non-finite entry in '0.5,{entry}'\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_whole_counts_load_unchanged(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("4,2.0,0\n2.0,1e3,9007199254740992\n0,9007199254740992,7\n")
@@ -359,20 +384,25 @@ class TestMalformedInput:
     # rejected when the cell is built, where every replication used to fail and the row read nan
     def test_run_config_that_cannot_run_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"kernel": "scenarioA:1", "grid_type": "type3", "rank_policy": "fixed:1"}')
-        assert main(["run", "--config", str(cfg_path), "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error: unknown grid type 'type3'")
-        assert not (tmp_path / "r.csv").exists()
+        for field, value, complaint in [
+            ("grid_type", "type3", "unknown grid type 'type3'"),
+            ("kernel", "scenarioA:x", "kernel id 'scenarioA:x': invalid literal for int() with base 10: 'x'"),
+        ]:
+            cfg_path.write_text(json.dumps({"kernel": "scenarioA:1", "rank_policy": "fixed:1", field: value}))
+            assert main(["run", "--config", str(cfg_path), "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 2
+            assert capsys.readouterr().err == f"error: {cfg_path}: {complaint}\n"
+            assert not (tmp_path / "r.csv").exists()
 
     def test_run_config_with_a_solve_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"kernel": "scenarioA:1", "solve": {"method": "bfgs"}}')
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: unknown ExperimentConfig keys: solve")
+        assert capsys.readouterr().err == f"error: {cfg_path}: unknown ExperimentConfig keys: solve\n"
 
     # each used to end in a traceback, or in a JSON parser message naming no file
     @pytest.mark.parametrize("case", ["sidecar_truncated", "sidecar_without_start", "meta_truncated",
-                                      "config_list", "config_n_string", "config_delta_number"])
+                                      "meta_delta_outside", "config_list", "config_n_string",
+                                      "config_delta_number"])
     def test_malformed_json_names_the_file(self, pipeline_files, tmp_path, capsys, case):
         sample, patched, counts = pipeline_files
         sidecar, meta, config = sample.with_suffix(".json"), patched.with_suffix(".json"), tmp_path / "cfg.json"
@@ -384,9 +414,11 @@ class TestMalformedInput:
         complete = ["complete", "--input", str(patched), "--counts", str(counts), "--out", str(tmp_path / "o.csv")]
         run = ["run", "--config", str(config), "--reps", "1", "--out", str(tmp_path / "r.csv")]
         path, text, argv, complaint = {
-            "sidecar_truncated": (sidecar, sidecar.read_text()[:16], patch, "Unterminated string"),
+            "sidecar_truncated": (sidecar, sidecar.read_text()[:8], patch, "Unterminated string"),
             "sidecar_without_start": (sidecar, json.dumps(no_start), patch, "curve '0': missing key 'start'"),
             "meta_truncated": (meta, meta.read_text()[:16], complete, "Unterminated string"),
+            "meta_delta_outside": (meta, json.dumps({**json.loads(meta.read_text()), "delta_effective": 1.5}),
+                                   complete, "key 'delta_effective' must lie in (0, 1), got 1.5"),
             "config_list": (config, json.dumps([cell]), run, "expected a JSON object, got list"),
             "config_n_string": (config, json.dumps({**cell, "n": "x"}), run, "key 'n' must be an integer, got 'x'"),
             "config_delta_number": (config, json.dumps({**cell, "delta": 0.5}), run,

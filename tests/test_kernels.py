@@ -187,6 +187,12 @@ class TestKernelIds:
         assert k2(1 / 6, 5 / 6) != k1(1 / 6, 5 / 6)
         assert kernel_from_id("esseen:2")(0.0, 1.5) == pytest.approx(0.5 * math.exp(-1))
 
+    # each used to return the first kernel of the pair in silence
+    @pytest.mark.parametrize("kid", ["esseen:x", "esseen:3", "esseen:1", "esseen:2.0"])
+    def test_esseen_takes_no_argument_or_2(self, kid):
+        with pytest.raises(ValueError, match=re.escape(f"kernel id {kid!r}: esseen takes no argument or 2")):
+            kernel_from_id(kid)
+
     # matern+A2 with one number ended in a TypeError traceback; a fourth number was ignored
     @pytest.mark.parametrize("kid", ["matern", "matern:1.5", "matern:1.5,0.5,1.0,9", "matern+A2:1.5",
                                      "matern+A2:1.5,0.5,1.0,9"])
