@@ -123,6 +123,8 @@ def _load_patched(args) -> PatchedCovariance:
 
 
 def _cmd_complete(args) -> int:
+    if args.delta_prime is not None and not 0 < args.delta_prime < 1:
+        raise ValueError(f"--delta-prime must lie in (0, 1), got {args.delta_prime}")
     # --rank is a rank policy, or 'auto' for the elbow rule, or a bare q for fixed:q
     rank_policy = "elbow" if args.rank == "auto" else args.rank
     if rank_policy.isdigit():

@@ -165,7 +165,7 @@ def _openblas() -> list[tuple]:
     """(get, set) thread-count functions of the OpenBLAS libraries bundled with
     numpy's and scipy's wheels (each package loads its own, with its own
     threads). Other BLAS builds are not listed. scipy's L-BFGS-B extension,
-    which links scipy's OpenBLAS, is loaded first (_setulb, without
+    which links scipy's OpenBLAS, is loaded first (_scipy_module, without
     scipy.optimize), so that scipy's OpenBLAS is loaded and listed before a
     solve would load it at its default thread count. Looked up once per
     process: both libraries are loaded by then and stay loaded."""
@@ -174,7 +174,7 @@ def _openblas() -> list[tuple]:
         return _controls
     import scipy
 
-    _setulb()
+    _scipy_module("optimize", "_lbfgsb")
 
     controls = []
     for package in (np, scipy):
@@ -254,10 +254,11 @@ def minimize(fun, x0, method: str, gtol: float, max_iter: int) -> DescentResult:
     """The one descent entry: method "BFGS" runs _bfgs (the table protocol),
     "L-BFGS-B" runs _lbfgsb (the library protocol). fun(x) returns (value,
     gradient). Importing fragcov loads numpy only; scipy is loaded by the
-    first descent, and only what it runs: L-BFGS-B loads scipy's _lbfgsb
-    extension alone (_setulb), BFGS imports scipy.optimize for its line
-    search (_bfgs_routines). Descents call it through this module attribute,
-    which perfbench's tracer wraps."""
+    first descent, and only the files it runs (_scipy_module): L-BFGS-B
+    scipy's _lbfgsb extension, BFGS scipy's _fblas extension and _dcsrch
+    file (_bfgs_routines); neither imports scipy.optimize or scipy.linalg.
+    Descents call it through this module attribute, which perfbench's
+    tracer wraps."""
     if method == "BFGS":
         return _bfgs(fun, x0, gtol, max_iter)
     if method == "L-BFGS-B":
@@ -281,15 +282,13 @@ class _EvaluateOnce:
 
 
 def _bfgs_routines():
-    """What _bfgs runs on: scipy's symmetric level-2 BLAS, and scipy's own
-    BFGS line search (Wolfe 1, Wolfe 2 fallback), private but used so that
-    _bfgs takes scipy's iterates; a parity test pins it against minimize.
-    The line search imports scipy.optimize, which harness.run_cell has this
-    load before it forks a pool, so that the workers inherit it."""
-    from scipy.linalg.blas import dsymv, dsyr, dsyr2
-    from scipy.optimize._optimize import _LineSearchError, _line_search_wolfe12
-
-    return dsymv, dsyr, dsyr2, _LineSearchError, _line_search_wolfe12
+    """What _bfgs runs on, loaded alone (_scipy_module): scipy's symmetric
+    level-2 BLAS (dsymv, dsyr, dsyr2) and its Python DCSRCH, Moré &
+    Thuente's line search (ACM TOMS 1994), which scipy's BFGS calls through
+    line_search_wolfe1. harness.run_cell loads them before it forks a pool,
+    so that the workers inherit them."""
+    fblas = _scipy_module("linalg", "_fblas")
+    return fblas.dsymv, fblas.dsyr, fblas.dsyr2, _scipy_module("optimize", "_dcsrch").DCSRCH
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
@@ -298,7 +297,10 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     fun(x) returns (value, gradient) and is evaluated once per distinct x
     (_EvaluateOnce). The stopping rules, line search and status codes
     are scipy's (0 converged, 1 iteration cap, 2 line search failed or
-    non-finite value, 3 NaN). Only the inverse Hessian differs: scipy forms
+    non-finite value, 3 NaN). The line search is scipy's _line_search_wolfe12
+    with BFGS's arguments, written out: DCSRCH as line_search_wolfe1 runs it
+    and, where it finds no step, scipy's line_search_wolfe2, imported from
+    scipy.optimize only then. Only the inverse Hessian differs: scipy forms
     (I - rho s y^T) H (I - rho y s^T) + rho s s^T with two n x n x n products
     per iteration; here H is updated in place in O(n^2) (Nocedal & Wright,
     Numerical Optimization, Alg. 6.1) as
@@ -311,7 +313,7 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     pool; mixing it with numpy's (the objective's) is safe because the solver
     entry points run both on one thread (_single_thread_blas).
     """
-    dsymv, dsyr, dsyr2, LineSearchError, line_search_wolfe12 = _bfgs_routines()
+    dsymv, dsyr, dsyr2, DCSRCH = _bfgs_routines()
     value_grad = _EvaluateOnce(fun)
 
     def value(x):
@@ -319,6 +321,37 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
 
     def grad(x):
         return value_grad(x)[1]
+
+    def line_search(x, p, g, fval, old_fval):
+        """The step from x along p, with the value and (None if not at hand)
+        gradient there, as scipy's _line_search_wolfe12 finds it with BFGS's
+        c1 1e-4, c2 0.9, amin 1e-100 and amax 1e100, and
+        scalar_search_wolfe1's xtol 1e-14 and 100 iterations; None where
+        neither search finds a step."""
+        last = [g]
+
+        def derphi(a):
+            last[0] = grad(x + a * p)
+            return np.dot(last[0], p)
+
+        derphi0 = np.dot(g, p)
+        alpha1 = 1.0
+        if derphi0 != 0:
+            alpha1 = min(1.0, 1.01 * 2 * (fval - old_fval) / derphi0)
+            if alpha1 < 0:
+                alpha1 = 1.0
+        search = DCSRCH(lambda a: value(x + a * p), derphi, 1e-4, 0.9, 1e-14, 1e-100, 1e100)
+        alpha, fnew, _, _ = search(alpha1, phi0=fval, derphi0=derphi0, maxiter=100)
+        if alpha is not None:
+            return alpha, fnew, last[0]
+        from scipy.optimize._linesearch import LineSearchWarning, line_search_wolfe2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LineSearchWarning)
+            alpha, _, _, fnew, _, g_next = line_search_wolfe2(
+                value, grad, x, p, g, fval, old_fval, c1=1e-4, c2=0.9, amax=1e100
+            )
+        return None if alpha is None else (alpha, fnew, g_next)
 
     x = np.array(x0, dtype=float).ravel()
     fval, g = value_grad(x)
@@ -328,13 +361,12 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     gnorm = np.max(np.abs(g))
     while gnorm > gtol and k < max_iter:
         p = dsymv(-1.0, H, g)
-        try:
-            alpha, _, _, fval, old_old_fval, g_next = line_search_wolfe12(
-                value, grad, x, p, g, fval, old_old_fval, amin=1e-100, amax=1e100, c1=1e-4, c2=0.9
-            )
-        except LineSearchError:
+        step = line_search(x, p, g, fval, old_old_fval)
+        if step is None:
             status = 2
             break
+        alpha, f_next, g_next = step
+        old_old_fval, fval = fval, f_next
         s = alpha * p
         x = x + s
         if g_next is None:
@@ -362,25 +394,24 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
 
 
 @lru_cache(maxsize=None)
-def _setulb():
-    """scipy's L-BFGS-B routine in reverse communication (setulb), private
-    but used so that fragcov runs minimize's loop without its per-evaluation
-    wrapping; TestLBFGSB pins the iterates against minimize. The _lbfgsb
-    extension is loaded alone from scipy/optimize/, since importing it as
-    scipy.optimize._lbfgsb first runs scipy.optimize's __init__, which
-    imports scipy.linalg, scipy.special, scipy.fft and every solver: about
-    0.4 s on a 2-vCPU machine, where a fixed-rank solve takes 0.01-0.03 s.
-    The module is not entered in sys.modules."""
+def _scipy_module(subpackage: str, name: str):
+    """scipy/<subpackage>/<name>, a Python file or an extension, loaded alone
+    and not entered in sys.modules; private, but used so that the descents
+    run scipy's own routines (TestDenseBFGS and TestLBFGSB pin the iterates
+    against minimize). Importing it as scipy.<subpackage>.<name> would first
+    run the subpackage's __init__: scipy.optimize's imports scipy.linalg,
+    scipy.special, scipy.fft and every solver, about 0.4 s on a 2-vCPU
+    machine, where a fixed-rank solve takes 0.01-0.03 s."""
     import scipy
 
-    directory = str(Path(scipy.__file__).parent / "optimize")
-    spec = PathFinder.find_spec("_lbfgsb", [directory])
+    directory = str(Path(scipy.__file__).parent / subpackage)
+    spec = PathFinder.find_spec(name, [directory])
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no _lbfgsb extension in {directory}")
+        raise ImportError(f"scipy {scipy.__version__} has no {name} module in {directory}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(spec.name, None)  # a single-phase extension enters itself when created
-    return module.setulb
+    return module
 
 
 def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
@@ -395,7 +426,7 @@ def _lbfgsb(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
     cap hit, 2 any other stop). fun(x) returns (value, gradient) and is
     evaluated once per distinct x (_EvaluateOnce).
     """
-    setulb = _setulb()
+    setulb = _scipy_module("optimize", "_lbfgsb").setulb
     m, maxfun = 20, 15000
     x = np.array(x0, dtype=np.float64).ravel()
     n = x.size

@@ -325,7 +325,7 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
             warnings.simplefilter("default")
             outcomes = [_replicate_worker(t) for t in tasks]
     else:
-        _bfgs_routines()  # forked workers inherit scipy.optimize instead of each importing it
+        _bfgs_routines()  # forked workers inherit the BFGS files instead of each loading them
         with ProcessPoolExecutor(min(workers, len(tasks)), initializer=_init_pool_worker) as pool:
             outcomes = list(pool.map(_replicate_worker, tasks, chunksize=1))
     errors = np.array([o[1] for o in outcomes if o[1] is not None])

@@ -278,12 +278,13 @@ class TestMalformedInput:
         assert err.startswith("usage: fragcov") and complaint in err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_delta_prime_zero_exits_2(self, pipeline_files, tmp_path, capsys):
+    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("1.5", "1.5")])
+    def test_delta_prime_zero_exits_2(self, pipeline_files, tmp_path, capsys, value, shown):
         _, patched, counts = pipeline_files
-        status = main(["complete", "--input", str(patched), "--counts", str(counts), "--delta-prime", "0",
+        status = main(["complete", "--input", str(patched), "--counts", str(counts), "--delta-prime", value,
                        "--rank", "2", "--out", str(tmp_path / "o.csv"), "--scree-out", str(tmp_path / "s.csv")])
         assert status == 2
-        assert capsys.readouterr().err.startswith("error: delta_prime must lie in (0, 1)")
+        assert capsys.readouterr().err == f"error: --delta-prime must lie in (0, 1), got {shown}\n"
         assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
 
     # rejected when the config is built, before any input is read or output written
@@ -508,6 +509,12 @@ for name, extra in (("rank 3", ["--rank", "3"]), ("auto", ["--rank", "auto"]),
                     ("scree", ["--rank", "auto", "--scree-out", d + "/s.csv"])):
     codes.append(cli.main([*inputs, *extra]))
     seen[name] = scipy_loaded()
+# one replication runs in this process, under the table protocol's BFGS
+cell = fragcov.ExperimentConfig(kernel="scenarioA:1", n=40, K=15, replications=1, rank_policy="fixed:1")
+with open(d + "/cell.json", "w") as f:
+    f.write(cell.to_json())
+codes.append(cli.main(["run", "--config", d + "/cell.json"]))
+seen["run"] = scipy_loaded()
 codes.append(cli.main(["simulate", "--kernel", "matern:1.5,0.5", *common, "--out", d + "/m.csv"]))
 seen["matern"] = scipy_loaded()
 print(json.dumps({"codes": codes, "seen": seen}))
@@ -515,10 +522,12 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 
 def test_simulate_and_patch_load_no_scipy_solver(fresh_python, tmp_path):
-    # complete loads scipy's L-BFGS-B extension alone, not scipy.optimize
+    # complete loads scipy's L-BFGS-B extension alone, and run scipy's BLAS
+    # extension and line-search file alone, not scipy.optimize or scipy.linalg
     out = fresh_python(_FOOTPRINT_SCRIPT, str(tmp_path))
-    assert out["codes"] == [0] * 6
+    assert out["codes"] == [0] * 7
     assert out["seen"] == {
-        "import": [], "simulate": [], "patch": [], "rank 3": [], "auto": [], "scree": [], "matern": ["scipy.special"]
+        "import": [], "simulate": [], "patch": [], "rank 3": [], "auto": [], "scree": [], "run": [],
+        "matern": ["scipy.special"],
     }
     assert (tmp_path / "m.csv").read_text().count("\n") > 40

@@ -224,6 +224,30 @@ class TestDenseBFGS:
         assert (res.nit, res.nfev, res.success) == (0, 1, True)
         assert np.array_equal(res.x, x0)
 
+    # a gradient scaled by c (a, c) makes scipy's DCSRCH find no step, and BFGS
+    # calls line_search_wolfe2 once: it fails at the start (3, -1), after 25
+    # iterations (3, 5), or finds a step and the descent converges (1, 3)
+    @pytest.mark.parametrize("a, c", [(3, -1), (3, 5), (1, 3)])
+    def test_fallback_line_search_matches_scipy(self, a, c, monkeypatch):
+        import scipy.optimize._linesearch as linesearch
+
+        def fun(x):
+            return x @ x + np.sum(np.sin(a * x)), c * (2 * x + a * np.cos(a * x))
+
+        calls, wolfe2 = [], linesearch.line_search_wolfe2
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wolfe2(*args, **kwargs)
+
+        monkeypatch.setattr(linesearch, "line_search_wolfe2", counted)
+        x0 = np.linspace(-2, 2, 7)
+        ref = minimize(fun, x0, jac=True, method="BFGS", options={"maxiter": 100, "gtol": 1e-8})
+        res = _bfgs(fun, x0, 1e-8, 100)
+        assert len(calls) == 1
+        assert (res.nit, res.nfev, res.status) == (ref.nit, ref.nfev, ref.status)
+        assert np.linalg.norm(res.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
     def test_nan_target_diverges(self):
         banded, mask, _ = _banded(scenario_kernel("A", 2), 20, 0.5, seed=2)
         banded = banded.copy()
@@ -287,14 +311,15 @@ class TestLBFGSB:
         assert np.array_equal(x0, start)
         assert res.success and res.nit > 0
 
-    def test_missing_extension_names_scipy_and_the_directory(self, monkeypatch):
+    @pytest.mark.parametrize("subpackage, name", [("optimize", "_lbfgsb"), ("linalg", "_fblas"), ("optimize", "_dcsrch")])
+    def test_missing_extension_names_scipy_and_the_directory(self, monkeypatch, subpackage, name):
         monkeypatch.setattr(complete, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
-        complete._setulb.cache_clear()
+        complete._scipy_module.cache_clear()
         try:
-            with pytest.raises(ImportError, match=r"^scipy \S+ has no _lbfgsb extension in \S+optimize$"):
-                complete._setulb()
+            with pytest.raises(ImportError, match=rf"^scipy \S+ has no {name} module in \S+{subpackage}$"):
+                complete._scipy_module(subpackage, name)
         finally:
-            complete._setulb.cache_clear()
+            complete._scipy_module.cache_clear()
 
     def test_stationary_start_takes_no_step(self):
         fun, _ = _table_problem(25, 2, seed=1)
@@ -310,7 +335,7 @@ import numpy as np
 from fragcov import SolveConfig, band_mask, estimate_covariance, evaluate_on_grid, scenario_kernel
 
 def scipy_loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.linalg", "_lbfgsb") if m in sys.modules)
+    return sorted(m for m in ("scipy.optimize", "scipy.linalg", "_lbfgsb", "_fblas", "_dcsrch") if m in sys.modules)
 
 K = 30
 truth = evaluate_on_grid(scenario_kernel("A", 2), (np.arange(K) + 0.5) / K)
@@ -325,11 +350,11 @@ print(json.dumps({"seen": seen, "digests": digests}))
 
 
 def test_library_protocol_loads_no_scipy_optimize(fresh_python):
-    # L-BFGS-B loads scipy's _lbfgsb extension alone, unregistered; the table
-    # protocol then imports scipy.optimize for its line search, and both fit
-    # as they do where scipy.optimize was imported first (as in this process)
+    # L-BFGS-B loads scipy's _lbfgsb extension alone, unregistered, and the
+    # table protocol scipy's _fblas extension and _dcsrch file; both fit as
+    # they do where scipy.optimize was imported first (as in this process)
     out = fresh_python(_PROTOCOL_FOOTPRINT_SCRIPT)
-    assert out["seen"] == {"lbfgs": [], "bfgs": ["scipy.linalg", "scipy.optimize"]}
+    assert out["seen"] == {"lbfgs": [], "bfgs": []}
     K = 30
     truth = evaluate_on_grid(scenario_kernel("A", 2), (np.arange(K) + 0.5) / K)
     estimates = [
