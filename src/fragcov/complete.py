@@ -68,12 +68,11 @@ class SolveConfig:
     rules, the inverse Hessian updated in place with symmetric level-2 BLAS)
     to 100 iterations and 1e-8.
     Any other method, a rank_policy that parse_rank_policy rejects,
-    max_rank_sweep or restarts below 1 and seed < 0 raise ValueError when
-    the config is built.
+    max_rank_sweep below 1 and seed < 0 raise ValueError when the config is
+    built.
     """
 
     max_rank_sweep: int | None = None
-    restarts: int = 1
     method: str = "lbfgs"
     rank_policy: str = "elbow"
     seed: int = 0
@@ -84,15 +83,14 @@ class SolveConfig:
         parse_rank_policy(self.rank_policy)
         if self.max_rank_sweep is not None and self.max_rank_sweep < 1:
             raise ValueError(f"max_rank_sweep must be at least 1, got {self.max_rank_sweep}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def sweep_bound(self, mask: BandMask) -> int:
-        if self.max_rank_sweep is not None:
-            return self.max_rank_sweep
-        return max(1, int(np.ceil(mask.K * mask.delta)) - 3)
+        """The highest rank a sweep on mask visits: max_rank_sweep, else
+        ceil(K delta) - 3 (at least 1), and never above K."""
+        bound = self.max_rank_sweep or max(1, int(np.ceil(mask.K * mask.delta)) - 3)
+        return min(bound, mask.K)
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def _bfgs_routines():
 
 
 def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
-    """Dense BFGS, step for step scipy's BFGS with its default options.
+    """Dense BFGS with scipy's rules, line search and status codes.
 
     fun(x) returns (value, gradient) and is evaluated once per distinct x
     (_EvaluateOnce). The stopping rules, line search and status codes
@@ -309,8 +307,12 @@ def _bfgs(fun, x0: np.ndarray, gtol: float, max_iter: int) -> DescentResult:
 
     with scipy's symmetric level-2 BLAS on the upper triangle of a Fortran
     array: dsymv for H g and H y, one dsyr2 and one dsyr for the update, and
-    no n x n scratch. scipy's BLAS is a second OpenBLAS with its own thread
-    pool; mixing it with numpy's (the objective's) is safe because the solver
+    no n x n scratch. That update rounds differently from scipy's products.
+    On the table problems the iterates are scipy's (TestDenseBFGS), but near
+    the noise floor the line search follows the rounding, so a badly scaled
+    problem can end a few iterations apart, at the same status and nearly
+    the same x. scipy's BLAS is a second OpenBLAS with its own thread pool;
+    mixing it with numpy's (the objective's) is safe because the solver
     entry points run both on one thread (_single_thread_blas).
     """
     dsymv, dsyr, dsyr2, DCSRCH = _bfgs_routines()
@@ -467,10 +469,10 @@ def solve_fixed_rank(
 ) -> tuple[LowRankFactor, float]:
     """Best rank-constrained PSD fit to the target on the mask.
 
-    Quasi-Newton descent from the truncated eigendecomposition of the
-    target (or an explicit warm start); with restarts > 1, extra starts add
-    small Gaussian jitter and the best fit wins. Runs the bundled OpenBLAS
-    on one thread, as do rank_sweep and estimate_covariance (see
+    One quasi-Newton descent from the truncated eigendecomposition of the
+    target (or an explicit warm start); rng (config.seed if None) nudges a
+    start column that is exactly zero. Runs the bundled OpenBLAS on one
+    thread, as do rank_sweep and estimate_covariance (see
     _single_thread_blas).
     """
     config = config or SolveConfig()
@@ -485,13 +487,11 @@ def solve_fixed_rank(
     start = _eigen_init(tvals, rank) if gamma0 is None else np.array(gamma0, dtype=float)
     if start.shape != (K, rank):
         raise ValueError("gamma0 must be K x rank")
-    scale = np.linalg.norm(start) / np.sqrt(start.size)
-    if scale == 0.0:
-        scale = np.sqrt(max(np.abs(tvals).max(), 1.0))
     # a column that starts exactly zero is a stationary direction; nudge it
+    # (start is this call's own array: the eigen start, or a copy of gamma0)
     dead = np.linalg.norm(start, axis=0) == 0.0
     if np.any(dead):
-        start = start.copy()
+        scale = np.linalg.norm(start) / np.sqrt(start.size) or np.sqrt(max(np.abs(tvals).max(), 1.0))
         start[:, dead] = 1e-6 * scale * rng.standard_normal((K, int(dead.sum())))
 
     method, max_iter, gtol = _BUDGETS[config.method]
@@ -501,21 +501,11 @@ def solve_fixed_rank(
         value, grad = masked_objective_grad(x.reshape(K, rank), tvals, weights)
         return value, grad.ravel()
 
-    def descend(x0):
-        res = minimize(fun, x0.ravel(), method=method, gtol=gtol(K), max_iter=max_iter)
-        _log.debug("descent method=%s nit=%d nfev=%d converged=%s", config.method, res.nit, res.nfev, res.success)
-        if not np.isfinite(res.fun):
-            raise CompletionError("diverged: non-finite objective during descent")
-        return res.x.reshape(K, rank), float(res.fun)
-
-    best_gamma, best_fit = descend(start)
-    # restart jitter must be large enough to leave a spurious basin of the
-    # factorized landscape, yet small against the factor scale
-    for _ in range(config.restarts - 1):
-        g, fit = descend(start + 0.25 * scale * rng.standard_normal(start.shape))
-        if fit < best_fit:
-            best_gamma, best_fit = g, fit
-    return LowRankFactor(best_gamma), best_fit
+    res = minimize(fun, start.ravel(), method=method, gtol=gtol(K), max_iter=max_iter)
+    _log.debug("descent method=%s nit=%d nfev=%d converged=%s", config.method, res.nit, res.nfev, res.success)
+    if not np.isfinite(res.fun):
+        raise CompletionError("diverged: non-finite objective during descent")
+    return LowRankFactor(res.x.reshape(K, rank)), float(res.fun)
 
 
 @dataclass(frozen=True)
@@ -566,7 +556,7 @@ def rank_sweep(
     tvals = _target_values(target)
     K = tvals.shape[0]
     rng = as_generator(config.seed if rng is None else rng)
-    bound = min(config.sweep_bound(mask), K)
+    bound = config.sweep_bound(mask)
     base_fit = masked_objective_grad(np.zeros((K, 1)), tvals, mask.include)[0]
 
     fits, factors = [], []
@@ -643,18 +633,15 @@ def select_rank(sweep: RankSweepResult, policy: str = "elbow") -> int:
 def _rank_decided(sweep: RankSweepResult, policy: str) -> bool:
     """Whether select_rank(sweep, policy) is the answer on every longer sweep.
 
-    A longer sweep is this nonempty one plus fits >= 0 at higher ranks.
-    elbow:eps is decided once the last normalized fit is below eps
-    (select_rank takes the first such rank); penalty:tau once
-    tau * (next rank) is at least the smallest fit + tau * rank so far,
-    since every later rank scores at least its penalty and ties go to the
-    smaller rank.
+    A longer sweep is this nonempty one plus fits >= 0 at higher ranks. Under
+    elbow and penalty the strongest such rank is one perfect next rank (fit
+    0.0): its normalized fit is 0, below any eps (so select_rank never warns
+    here), and it scores tau * (next rank), the least any later rank can. So
+    the answer is decided when select_rank still picks a visited rank with
+    that rank appended. A rule that reads ratios of fits needs its own test.
     """
-    kind, value = parse_rank_policy(policy)
-    if kind == "elbow":
-        return bool(sweep.normalized_fits[-1] < value)
-    ranks = np.arange(1, sweep.max_rank + 1)
-    return bool(value * (sweep.max_rank + 1) >= np.min(sweep.fits + value * ranks))
+    padded = RankSweepResult(np.append(sweep.fits, 0.0), (), sweep.base_fit)
+    return select_rank(padded, policy) <= sweep.max_rank
 
 
 @dataclass(frozen=True)

@@ -192,15 +192,25 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-replication relative errors (percent) and their quartile summary."""
+    """Per-replication relative errors (percent) and their quartile summary,
+    derived from errors (five_number_summary)."""
 
     errors: np.ndarray
     failures: tuple
-    median: float
-    q1: float
-    q3: float
     config: ExperimentConfig
     realized_K: int
+
+    @property
+    def median(self) -> float:
+        return five_number_summary(self.errors)[0]
+
+    @property
+    def q1(self) -> float:
+        return five_number_summary(self.errors)[1]
+
+    @property
+    def q3(self) -> float:
+        return five_number_summary(self.errors)[2]
 
 
 _DELTAS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -331,13 +341,9 @@ def run_cell(config: ExperimentConfig, workers: int | None = None) -> Experiment
     errors = np.array([o[1] for o in outcomes if o[1] is not None])
     failures = tuple((o[0], o[3]) for o in outcomes if o[3] is not None)
     ks = [o[2] for o in outcomes if o[1] is not None]
-    med, q1, q3 = five_number_summary(errors)
     return ExperimentResult(
         errors=errors,
         failures=failures,
-        median=med,
-        q1=q1,
-        q3=q3,
         config=config,
         realized_K=int(np.median(ks)) if ks else 0,
     )

@@ -62,16 +62,25 @@ def test_criterion_01_identifiability_oracle():
 
 
 def test_criterion_02_solver_oracle_equivalence():
-    # restarts guard against spurious basins of the factorized landscape
-    # (scenario B rank 3: the third component carries ~1e-6 of the band
-    # energy and the plain eigen start can stall at a nearby local minimum)
-    config = SolveConfig(restarts=4)
+    # the rank sweep's warm starts, rank 1 up to q, as estimate_covariance runs them
     worst = 0.0
     for scen, q, banded, mask, truth in _exact_band_instances():
         oracle = exact_band_completion(banded, mask, q)
-        factor, _ = solve_fixed_rank(banded, mask, q, config)
+        factor = rank_sweep(banded, mask, SolveConfig(max_rank_sweep=q)).factors[q - 1]
         worst = max(worst, relative_error(factor.matrix(), oracle))
     _report(2, "solver matches oracle on exact bands", worst < 0.1, f"(worst re {worst:.2e}%)")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP known defect 1: from the eigen start, fixed:3 stalls "
+                   "in a spurious basin on scenario B rank-3 bands (17 of these 20 give 0.86-1.02%)")
+def test_fixed_rank_matches_oracle_on_scenario_b_rank_3():
+    # scenario B rank 3: the third component carries ~1e-6 of the band energy
+    worst = 0.0
+    for scen, q, banded, mask, truth in _exact_band_instances():
+        if (scen, q) == ("B", 3):
+            factor, _ = solve_fixed_rank(banded, mask, q)
+            worst = max(worst, relative_error(factor.matrix(), exact_band_completion(banded, mask, q)))
+    assert worst < 0.1, f"worst re {worst:.2e}%"
 
 
 def test_criterion_03_gradient_correctness():

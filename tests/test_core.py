@@ -48,6 +48,15 @@ class TestBandMask:
         with pytest.raises(ValueError, match="band degenerate"):
             band_mask(10, 0.1)
 
+    @pytest.mark.parametrize("include, message", [
+        (np.ones((3, 4), dtype=bool), "mask must be square"),
+        (np.ones(3, dtype=bool), "mask must be square"),
+        (np.triu(np.ones((3, 3), dtype=bool)), "mask must be symmetric"),
+    ])
+    def test_malformed_include_rejected(self, include, message):
+        with pytest.raises(ValueError, match=message):
+            BandMask(include, delta=0.5)
+
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             band_mask(10, 1.5)
@@ -154,6 +163,9 @@ class TestSymMatrix:
             SymMatrix(vals, np.array([[1, 2], [3, 4]]))
         with pytest.raises(ValueError):
             SymMatrix(vals, -np.ones((2, 2), dtype=int))
+        for shape in ((3, 3), (2, 3), (4,)):
+            with pytest.raises(ValueError, match="counts shape must match values"):
+                SymMatrix(vals, np.ones(shape, dtype=int))
 
     def test_immutable(self):
         s = SymMatrix(np.eye(2))

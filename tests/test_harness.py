@@ -409,6 +409,16 @@ class TestIngest:
             path.write_text(f"curve_id,t,value\na,0.1,1.0\n{bad}\n")
             with pytest.raises(ValueError, match=":3"):
                 ingest_fragments(path)
+        for bad in ("a,0.2", "a,0.2,2.0,4"):
+            path.write_text(f"curve_id,t,value\na,0.1,1.0\n{bad}\n")
+            with pytest.raises(ValueError, match=":3: malformed row"):
+                ingest_fragments(path)
+        # a blank line is skipped, and still counted in the line numbers
+        path.write_text("curve_id,t,value\na,0.1,1.0\n\na,0.2,2.0\n")
+        assert np.array_equal(ingest_fragments(path).x, [1.0, 2.0])
+        path.write_text("curve_id,t,value\na,0.1,1.0\n\na,0.2\n")
+        with pytest.raises(ValueError, match=":4: malformed row"):
+            ingest_fragments(path)
 
     def test_out_of_domain_time(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from fragcov import (
     Grid,
     MaternKernel,
+    MercerKernel,
     SumKernel,
     counterexample_bump_pair,
     esseen_pair,
@@ -42,6 +43,20 @@ class TestScenarioKernels:
     def test_symmetry(self):
         k = scenario_kernel("B", 3)
         assert k(0.2, 0.9) == pytest.approx(k(0.9, 0.2), abs=1e-12)
+
+
+class TestMercerKernel:
+    @pytest.mark.parametrize("eigenvalues, n_functions, message", [
+        ((1.0, 0.5), 1, "need one eigenfunction per eigenvalue"),
+        ((1.0,), 2, "need one eigenfunction per eigenvalue"),
+        ((), 0, "need one eigenfunction per eigenvalue"),
+        ((1.0, 0.0), 2, "eigenvalues must be strictly positive"),
+        ((1.0, -0.5), 2, "eigenvalues must be strictly positive"),
+        ((0.5, 1.0), 2, "eigenvalues must be nonincreasing"),
+    ])
+    def test_impossible_spectrum_rejected(self, eigenvalues, n_functions, message):
+        with pytest.raises(ValueError, match=message):
+            MercerKernel(eigenvalues, (np.ones_like,) * n_functions)
 
 
 class TestMatern:
