@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BandMask, SeedLike, SymMatrix, _eigen_root, as_generator, matrix_values
+from .core import BandMask, SeedLike, SymMatrix, _check_int_fields, _eigen_root, as_generator, matrix_values
 
 __all__ = [
     "CompletionError",
@@ -67,9 +67,9 @@ class SolveConfig:
     protocol, a dense BFGS loop (_bfgs: scipy's line search and stopping
     rules, the inverse Hessian updated in place with symmetric level-2 BLAS)
     to 100 iterations and 1e-8.
-    Any other method, a rank_policy that parse_rank_policy rejects,
-    max_rank_sweep below 1 and seed < 0 raise ValueError when the config is
-    built.
+    Any other method, a rank_policy that parse_rank_policy rejects, a
+    max_rank_sweep or seed that is no integer, max_rank_sweep below 1 and
+    seed < 0 raise ValueError when the config is built.
     """
 
     max_rank_sweep: int | None = None
@@ -78,6 +78,7 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.method not in _BUDGETS:
             raise ValueError(f"unknown solve method {self.method!r}; expected one of {', '.join(_BUDGETS)}")
         parse_rank_policy(self.rank_policy)
@@ -555,6 +556,8 @@ def rank_sweep(
         raise ValueError(f"a sweep stops under elbow or penalty, not {until!r}: fixed:q solves rank q alone")
     tvals = _target_values(target)
     K = tvals.shape[0]
+    if mask.K != K:
+        raise ValueError("mask dimension must match the target")
     rng = as_generator(config.seed if rng is None else rng)
     bound = config.sweep_bound(mask)
     base_fit = masked_objective_grad(np.zeros((K, 1)), tvals, mask.include)[0]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -26,6 +26,18 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _check_int_fields(config) -> None:
+    """Raise ValueError naming the first field of a dataclass annotated int
+    (or int | None) that holds no integer (or None); a bool is none. A numpy
+    integer is stored as an int."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" or f.type == "int | None" and value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(config, f.name, int(value))
 
 
 def _eigen_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +90,6 @@ class BandMask:
 
     include: np.ndarray
     delta: float
-    exclude_diagonal: bool = False
 
     def __post_init__(self):
         inc = np.asarray(self.include, dtype=bool)
@@ -92,6 +103,11 @@ class BandMask:
     @property
     def K(self) -> int:
         return self.include.shape[0]
+
+    @property
+    def exclude_diagonal(self) -> bool:
+        """True unless every diagonal entry is included."""
+        return not self.include.diagonal().all()
 
     @property
     def half_width(self) -> int:
@@ -116,7 +132,7 @@ def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
     include = offsets < width
     if exclude_diagonal:
         include &= offsets > 0
-    return BandMask(include, float(delta), exclude_diagonal)
+    return BandMask(include, float(delta))
 
 
 @dataclass(frozen=True)

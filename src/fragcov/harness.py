@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, band_mask, relative_error
+from .core import Grid, _check_int_fields, band_mask, relative_error
 from .kernels import kernel_from_id, evaluate_on_grid
 from .simulate import (
     STAGE_GRID,
@@ -104,7 +104,8 @@ class ExperimentConfig:
     base_resolution; a type2 cell with K None bins at a K drawn from the
     sample. A cell that cannot run raises ValueError when it is built, with
     the message its replications would fail with: a malformed rank_policy,
-    kernel id, delta or grid_type, n < 2, noise_sd < 0, replications < 1,
+    kernel id, delta or grid_type, an n, K, base_resolution, replications
+    or seed that is no integer, n < 2, noise_sd < 0, replications < 1,
     seed < 0, such a type1 K, or a delta' band that is degenerate at the
     cell's K (for such a type2 cell, at the largest K its samples can draw).
     """
@@ -122,6 +123,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int_fields(self)
         parse_rank_policy(self.rank_policy)
         kernel_from_id(self.kernel)
         self.law()
@@ -421,16 +423,15 @@ def format_table(results: list[ExperimentResult]) -> str:
 def ingest_fragments(path) -> FragmentSample:
     """Read a fragment CSV (header curve_id,t,value) into a FragmentSample.
 
-    Intervals come from the JSON sidecar (the same path with a .json suffix)
-    when present, matched by curve_id, or by order of first appearance
-    if the sidecar has no ids and one interval per curve; else they are
-    inferred as [min t, max t] per curve. Curves with fewer than two points
-    are dropped with a warning. A row with t outside [0, 1], a non-finite
-    value or a t repeated within its curve is rejected with its path:line.
-    The sidecar's grid_type and noise_sd are read whether or not its
-    intervals are used; a sidecar value FragmentSample rejects (an interval
-    that does not hold its curve's times, an unknown grid_type, a negative
-    noise_sd) is reported with the sidecar's path.
+    The optional JSON sidecar (the same path with a .json suffix) gives
+    noise_sd and intervals, matched by curve_id if every interval has a
+    distinct one, else one per curve in order of first appearance (any
+    other list is rejected); with none, each is inferred as [min t, max t].
+    Curves with fewer than two points are dropped with a warning. A row with
+    t outside [0, 1], a non-finite value or a t repeated within its curve is
+    rejected with its path:line. A sidecar FragmentSample rejects (an
+    interval that does not hold its curve's times, a negative noise_sd) is
+    reported with the sidecar's path.
     """
     path = Path(path)
     by_curve: dict[str, dict[float, float]] = {}
@@ -475,13 +476,12 @@ def ingest_fragments(path) -> FragmentSample:
     t, sizes = np.array(times, dtype=float), np.array(sizes, dtype=np.intp)
 
     entries = _json_field(meta, "intervals", "list", sidecar_path, [])
-    if entries and all("curve_id" in e for e in entries):
-        by_id = {str(e["curve_id"]): e for e in entries}
-    elif len(entries) == len(by_curve):
-        by_id = dict(zip(by_curve, entries))
-    else:
-        by_id = None
-    if by_id is not None:
+    labels = [str(e["curve_id"]) for e in entries if "curve_id" in e]
+    by_id = dict(zip(labels or by_curve, entries))
+    if entries and (len(by_id) < len(entries) or not labels and len(entries) != len(by_curve)):
+        raise ValueError(f"{sidecar_path}: intervals must all carry distinct curve_ids, or none and number "
+                         f"one per curve ({len(entries)} for {len(by_curve)} curves)")
+    if by_id:
         missing = [cid for cid in ids if cid not in by_id]
         if missing:
             raise ValueError(f"{sidecar_path}: no interval for curve {missing[0]!r}")
@@ -493,7 +493,6 @@ def ingest_fragments(path) -> FragmentSample:
         ends = np.cumsum(sizes)
         first, last = t[ends - sizes], t[ends - 1]
         intervals = np.column_stack([first, last - first])
-    grid_type = _json_field(meta, "grid_type", "str", sidecar_path, "type2")
     noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
     try:
         return FragmentSample(
@@ -501,7 +500,6 @@ def ingest_fragments(path) -> FragmentSample:
             x=np.array(values, dtype=float),
             sizes=sizes,
             intervals=intervals,
-            grid_type=grid_type,
             noise_sd=noise_sd,
             curve_ids=tuple(ids),
         )

@@ -61,10 +61,6 @@ class MercerKernel(Kernel):
         if any(a < b for a, b in zip(lam, lam[1:])):
             raise ValueError("eigenvalues must be nonincreasing")
 
-    @property
-    def rank(self) -> int:
-        return len(self.eigenvalues)
-
     def __call__(self, s, t):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)

@@ -55,30 +55,22 @@ def stage_rng(seed: SeedLike, stage: int) -> np.random.Generator:
 class FragmentLaw:
     """Law of the censoring intervals.
 
-    Lengths are uniform in [delta_min, delta_max]. Placement of an interval
-    of length d:
-
-    - "clipped_center" (default): the center is uniform on [0, 1] and the
-      interval is shifted back inside the domain, so a d/2-fraction of the
-      fragments hug each boundary; every domain point is covered with
-      probability bounded away from zero.
-    - "uniform": the start is uniform on [0, 1 - d]; coverage decays to
-      zero toward the boundary.
+    Lengths are uniform in [delta_min, delta_max]. An interval of length d
+    has its center uniform on [0, 1] and is shifted back inside the domain,
+    so a d/2-fraction of the fragments hug each boundary; every domain point
+    is covered with probability bounded away from zero.
     """
 
     delta_min: float
     delta_max: float
-    placement: str = "clipped_center"
 
     def __post_init__(self):
         if not 0.0 < self.delta_min <= self.delta_max < 1.0:
             raise ValueError("need 0 < delta_min <= delta_max < 1")
-        if self.placement not in ("clipped_center", "uniform"):
-            raise ValueError("placement must be 'clipped_center' or 'uniform'")
 
     @classmethod
-    def fixed(cls, delta: float, placement: str = "clipped_center") -> "FragmentLaw":
-        return cls(delta, delta, placement)
+    def fixed(cls, delta: float) -> "FragmentLaw":
+        return cls(delta, delta)
 
     def draw_lengths(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.delta_min, self.delta_max, size=n)
@@ -86,8 +78,6 @@ class FragmentLaw:
     def place(self, deltas, rng: np.random.Generator) -> np.ndarray:
         """Starts for intervals of the given lengths."""
         deltas = np.asarray(deltas, dtype=float)
-        if self.placement == "uniform":
-            return rng.uniform(0.0, 1.0 - deltas)
         centers = rng.uniform(0.0, 1.0, size=deltas.shape)
         return np.clip(centers - deltas / 2.0, 0.0, 1.0 - deltas)
 
@@ -105,16 +95,14 @@ class FragmentSample:
     t and x hold every observation time and value back to back in curve
     order, sizes[i] of them for curve i; curve i's times are sorted and lie
     in its interval [intervals[i, 0], intervals[i, 0] + intervals[i, 1]], to a
-    slack of 1e-12. grid_type is one of GRID_TYPES and noise_sd is >= 0.
-    On a shared grid (common and type1 samples) columns holds the grid index
-    of each time, else it is None.
+    slack of 1e-12. noise_sd is >= 0. On a shared grid (common and type1
+    samples) columns holds the grid index of each time, else it is None.
     """
 
     t: np.ndarray
     x: np.ndarray
     sizes: np.ndarray
     intervals: np.ndarray
-    grid_type: str = "common"
     noise_sd: float = 0.0
     grid: Grid | None = None
     columns: np.ndarray | None = None
@@ -139,8 +127,6 @@ class FragmentSample:
             self.grid is None or cols.shape != t.shape or np.any((cols < 0) | (cols >= self.grid.resolution))
         ):
             raise ValueError("columns must align with the times and index the grid")
-        if self.grid_type not in GRID_TYPES:
-            raise ValueError(f"unknown grid type {self.grid_type!r}")
         if not self.noise_sd >= 0:
             raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
         lo = np.repeat(iv[:, 0], sizes)
@@ -195,7 +181,6 @@ def fragment(values: np.ndarray, grid: Grid, law: FragmentLaw, seed: SeedLike = 
         x=values[rows, cols],
         sizes=np.count_nonzero(inside, axis=1),
         intervals=intervals,
-        grid_type="common",
         grid=grid,
         columns=cols,
     )
@@ -223,7 +208,8 @@ def fragment_irregular(
     type1: every curve observes Q_i = ceil(K * delta_i) points of one shared
     perturbed K-grid, all inside its interval (interval starts are redrawn
     until the interval holds at least Q_i grid points, then a uniform subset
-    of size Q_i is kept). type2: Q_i = ceil(base_resolution * delta_i) times
+    of size Q_i is kept; a curve whose 1000 draws all fall short raises
+    ValueError). type2: Q_i = ceil(base_resolution * delta_i) times
     drawn i.i.d. uniform inside the interval.
     """
     if grid_type not in ("type1", "type2"):
@@ -255,7 +241,8 @@ def fragment_irregular(
                 if idx.size >= q:
                     break
             else:
-                raise RuntimeError("could not place an interval holding enough grid points")
+                raise ValueError(f"type1 curve {i}: no interval of length {d} placed in 1000 draws "
+                                 f"held its quota of {q} points of the {K}-point grid")
             columns[ends[i] - q : ends[i]] = np.sort(rng_times.choice(idx, size=q, replace=False))
             starts[i] = s
         return FragmentSample(
@@ -263,7 +250,6 @@ def fragment_irregular(
             x=paths[np.repeat(np.arange(n), quotas), columns],
             sizes=quotas,
             intervals=np.column_stack([starts, deltas]),
-            grid_type="type1",
             grid=shared,
             columns=columns,
         )
@@ -286,7 +272,6 @@ def fragment_irregular(
         x=v_flat,
         sizes=quotas,
         intervals=np.column_stack([starts, deltas]),
-        grid_type="type2",
     )
 
 
@@ -309,7 +294,6 @@ def write_fragments(sample: FragmentSample, path) -> None:
     lines = ["curve_id,t,value", *rows]
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
-        "grid_type": sample.grid_type,
         "noise_sd": sample.noise_sd,
         "intervals": [
             {"curve_id": str(cid), "start": s, "delta": d}

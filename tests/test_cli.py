@@ -362,6 +362,15 @@ class TestMalformedInput:
         assert status == 2
         assert capsys.readouterr().err.startswith("error: --delta takes one length or a min,max pair")
 
+    # on a 2-point grid a curve of length 0.9 rarely holds both points
+    def test_type1_interval_that_cannot_be_placed_exits_2(self, tmp_path, capsys):
+        status = main(["simulate", "--kernel", "scenarioA:1", "--grid-type", "type1", "--n", "5", "--k", "2",
+                       "--delta", "0.9", "--seed", "119", "--out", str(tmp_path / "s.csv")])
+        assert status == 2
+        assert capsys.readouterr().err == ("error: type1 curve 0: no interval of length 0.9 placed in 1000 draws "
+                                           "held its quota of 2 points of the 2-point grid\n")
+        assert not (tmp_path / "s.csv").exists()
+
     # T2 has 30 cells; -1 is rejected, not counted from the end
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_run_cell_outside_the_table_exits_2(self, tmp_path, capsys, index):

@@ -766,12 +766,19 @@ class TestExactBandCompletion:
         mask = band_mask(20, 0.5, exclude_diagonal=True)
         with pytest.raises(ValueError):
             exact_band_completion(np.zeros((20, 20)), mask, 1)
+        # a mask built from include alone is judged by its diagonal
+        with pytest.raises(ValueError, match="needs the diagonal"):
+            exact_band_completion(np.zeros((20, 20)), BandMask(mask.include, 0.5), 1)
+        full = BandMask(band_mask(20, 0.5).include, 0.5)
+        assert np.allclose(exact_band_completion(full.include.astype(float), full, 1).values, 1.0)
 
 
 def test_low_rank_factor_psd():
     f = LowRankFactor(np.random.default_rng(0).standard_normal((5, 2)))
     eigs = np.linalg.eigvalsh(f.matrix())
     assert eigs.min() >= -1e-10 * eigs.max()
+    with pytest.raises(ValueError, match="factor must be a K x i matrix"):
+        LowRankFactor(np.ones(3))
 
 
 @lru_cache(maxsize=None)
@@ -824,6 +831,13 @@ class TestSingleThreadBlas:
         assert at_two == at_one
         with pytest.raises(ValueError, match="mask dimension"):
             estimate_covariance(patched, config, mask=band_mask(199, 0.5))
+        assert self._counts() == two_threads
+        # a sweep checks the size before its first fit
+        for policy in ("elbow", "penalty:0.001"):
+            with pytest.raises(ValueError, match="^mask dimension must match the target$"):
+                estimate_covariance(patched, SolveConfig(rank_policy=policy), mask=band_mask(201, 0.5))
+        with pytest.raises(ValueError, match="^mask dimension must match the target$"):
+            rank_sweep(np.eye(10), band_mask(12, 0.5))
         assert self._counts() == two_threads
 
     def test_every_descent_runs_pinned(self, two_threads, monkeypatch):

@@ -25,6 +25,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array([0.5, 1.2]))
 
+    @pytest.mark.parametrize("points", [[], [[0.1, 0.2]]], ids=["empty", "2-d"])
+    def test_rejects_empty_or_nested(self, points):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            Grid(np.array(points))
+
 
 class TestBandMask:
     def test_width_formula_K15(self):
@@ -43,6 +48,14 @@ class TestBandMask:
         assert not m.include.diagonal().any()
         assert m.include[2, 3]
         assert m.half_width == 19
+        assert m.exclude_diagonal and not band_mask(50, 0.4).exclude_diagonal
+
+    # the flag is read off include, so it cannot disagree with the mask
+    @pytest.mark.parametrize("diagonal, excluded", [([1, 1, 1, 1], False), ([1, 0, 1, 1], True), ([0] * 4, True)])
+    def test_exclude_diagonal_derived_from_include(self, diagonal, excluded):
+        include = np.ones((4, 4), dtype=bool)
+        np.fill_diagonal(include, diagonal)
+        assert BandMask(include, delta=0.5).exclude_diagonal is excluded
 
     def test_degenerate_band(self):
         with pytest.raises(ValueError, match="band degenerate"):

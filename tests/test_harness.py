@@ -272,6 +272,26 @@ class TestCellChecks:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(json.dumps(payload))
 
+    # a count or seed is rejected when the config is built, not in a later
+    # range() or SeedSequence; a bool is no integer
+    @pytest.mark.parametrize("cls, field, bad, good", [
+        (SolveConfig, "max_rank_sweep", 2.5, 3),
+        (SolveConfig, "max_rank_sweep", True, 3),
+        (SolveConfig, "seed", 1.5, 3),
+        (ExperimentConfig, "n", 20.5, 20),
+        (ExperimentConfig, "K", 20.5, 30),
+        (ExperimentConfig, "base_resolution", 30.0, 30),
+        (ExperimentConfig, "replications", 2.5, 2),
+        (ExperimentConfig, "replications", True, 2),
+        (ExperimentConfig, "seed", 1.5, 3),
+    ])
+    def test_integer_fields_take_only_integers(self, cls, field, bad, good):
+        base = SMALL if cls is ExperimentConfig else {}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            cls(**{**base, field: bad})
+        built = getattr(cls(**{**base, field: np.int64(good)}), field)
+        assert built == good and type(built) is int
+
     # the delta' band is checked at the K each grid type runs at, where it is known
     def test_band_checked_at_the_grid_K(self):
         with pytest.raises(ValueError, match="band degenerate"):
@@ -302,6 +322,9 @@ class TestResolvedDeltaPrime:
             ExperimentConfig(kernel="scenarioA:1", delta=(0.1, 0.1)).resolved_delta_prime()
 
 
+UNMATCHED = "intervals must all carry distinct curve_ids, or none and number one per curve"
+
+
 class TestIngest:
     def test_round_trip(self, tmp_path):
         sample = fragment_irregular(scenario_kernel("A", 2), 12, FragmentLaw(0.5, 0.7), "type2", 40, seed=2)
@@ -312,7 +335,6 @@ class TestIngest:
         for name in ("t", "x", "sizes"):
             assert np.array_equal(getattr(back, name), getattr(sample, name))
         assert np.allclose(back.intervals, sample.intervals)
-        assert back.grid_type == "type2"
 
     def test_rows_sorted_by_time_keep_their_intervals(self, tmp_path):
         sample = fragment_irregular(scenario_kernel("A", 2), 12, FragmentLaw(0.3, 0.5), "type2", 40, seed=2)
@@ -348,22 +370,42 @@ class TestIngest:
         path.with_suffix(".json").write_text(json.dumps({"intervals": intervals}))
         assert ingest_fragments(path).curve_ids == ("a", "b")
 
-    # without usable intervals the sidecar still says what the sample is
-    @pytest.mark.parametrize("intervals", [None, [{"start": 0.0, "delta": 0.3}]], ids=["no-intervals", "count-mismatch"])
+    # without intervals the sidecar still gives the noise, and an old grid_type
+    # key is ignored; one interval for two curves is not silently replaced
+    @pytest.mark.parametrize("intervals", [None, [], [{"start": 0.0, "delta": 0.3}]],
+                             ids=["no-intervals", "empty-list", "count-mismatch"])
     def test_sidecar_noise_read_without_usable_intervals(self, tmp_path, intervals):
         path = tmp_path / "f.csv"
         path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nb,0.6,4.0\n")
-        sidecar = {"grid_type": "type1", "noise_sd": 0.5}
+        sidecar = {"grid_type": "typo", "noise_sd": 0.5}
         if intervals is not None:
             sidecar["intervals"] = intervals
         path.with_suffix(".json").write_text(json.dumps(sidecar))
+        if intervals:
+            message = f"{path.with_suffix('.json')}: {UNMATCHED} (1 for 2 curves)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ingest_fragments(path)
+            return
         sample = ingest_fragments(path)
-        assert (sample.grid_type, sample.noise_sd) == ("type1", 0.5)
+        assert sample.noise_sd == 0.5
         assert np.allclose(sample.intervals, [[0.1, 0.1], [0.5, 0.1]])  # inferred
+
+    # intervals that cannot be matched to the curves by id or by position
+    @pytest.mark.parametrize("intervals", [
+        [{"curve_id": "b", "start": 0.4, "delta": 0.3}, {"start": 0.0, "delta": 0.3}],
+        [{"curve_id": "a", "start": 0.0, "delta": 0.3}, {"curve_id": "a", "start": 0.0, "delta": 0.3}],
+        [{"start": 0.0, "delta": 0.7}] * 3,
+    ], ids=["mixed", "repeated-id", "one-too-many"])
+    def test_sidecar_intervals_that_cannot_be_matched(self, tmp_path, intervals):
+        path = tmp_path / "f.csv"
+        path.write_text("curve_id,t,value\na,0.1,1.0\na,0.2,2.0\nb,0.5,3.0\nb,0.6,4.0\n")
+        path.with_suffix(".json").write_text(json.dumps({"intervals": intervals}))
+        message = f"{path.with_suffix('.json')}: {UNMATCHED} ({len(intervals)} for 2 curves)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest_fragments(path)
 
     @pytest.mark.parametrize("key, value, message", [
         ("noise_sd", -1, "noise_sd must be nonnegative, got -1.0"),
-        ("grid_type", "typo", "unknown grid type 'typo'"),
     ])
     def test_sidecar_value_sample_rejects_names_the_sidecar(self, tmp_path, key, value, message):
         path = tmp_path / "f.csv"
@@ -393,7 +435,6 @@ class TestIngest:
             sample = ingest_fragments(path)
         assert sample.curve_ids == ("a", "c")
         assert np.array_equal(sample.intervals, [[0.05, 0.3], [0.6, 0.35]])
-        assert sample.grid_type == "type1"
         assert sample.noise_sd == 0.5
 
     def test_unsorted_rows_sorted(self, tmp_path):

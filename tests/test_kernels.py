@@ -39,6 +39,8 @@ class TestScenarioKernels:
     def test_bad_rank(self):
         with pytest.raises(ValueError):
             scenario_kernel("A", 4)
+        with pytest.raises(ValueError, match="unknown scenario 'C'"):
+            scenario_kernel("C", 1)
 
     def test_symmetry(self):
         k = scenario_kernel("B", 3)
@@ -185,8 +187,8 @@ class TestEvaluateOnGrid:
 
 class TestKernelIds:
     def test_scenario_ids(self):
-        assert kernel_from_id("scenarioA:2").rank == 2
-        assert kernel_from_id("scenarioB:3").rank == 3
+        assert len(kernel_from_id("scenarioA:2").eigenvalues) == 2
+        assert len(kernel_from_id("scenarioB:3").eigenvalues) == 3
 
     def test_matern_id(self):
         k = kernel_from_id("matern:1.5,0.5,2.0")

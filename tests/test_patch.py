@@ -45,7 +45,6 @@ class TestPatchedRegular:
             x=values.ravel(),
             sizes=np.full(60, 15),
             intervals=np.array([[0.0, 1.0 - 1e-12]] * 60),
-            grid_type="common",
             grid=sample.grid,
             columns=np.tile(np.arange(15), 60),
         )
@@ -60,7 +59,6 @@ class TestPatchedRegular:
             x=np.array([1.0, -2.0, 3.0, 0.5]),
             sizes=[4],
             intervals=np.array([[grid.points[1], grid.points[4] - grid.points[1]]]),
-            grid_type="common",
             grid=grid,
             columns=np.arange(1, 5),
         )
@@ -287,7 +285,6 @@ class TestPatchedBinned:
             x=np.concatenate(values),
             sizes=[t.size for t in times],
             intervals=np.array([[t.min(), t.max() - t.min()] for t in times]),
-            grid_type="type2",
         )
         for K in (1, 4, 9):
             patched = patched_binned(sample, K)
@@ -302,7 +299,6 @@ class TestPatchedBinned:
             x=np.array([1.0, 3.0, -1.0, 5.0]),
             sizes=[2, 2],
             intervals=np.array([[0.05, 0.6], [0.05, 0.6]]),
-            grid_type="type2",
         )
         patched = patched_binned(sample, 1)
         expected, counts = self._brute_force(sample, 1)
@@ -316,16 +312,17 @@ class TestPatchedBinned:
             x=np.array([1.0, 2.0]),
             sizes=[2],
             intervals=np.array([[0.0, 0.2]]),
-            grid_type="type2",
         )
         patched = patched_binned(sample, 10)
         assert patched.counts[5, 5] == 0
         assert patched.values[5, 5] == 0.0
 
     def test_no_data_rejected(self):
-        empty = FragmentSample(t=[], x=[], sizes=[], intervals=np.empty((0, 2)), grid_type="type2")
+        empty = FragmentSample(t=[], x=[], sizes=[], intervals=np.empty((0, 2)))
         with pytest.raises(ValueError):
             patched_binned(empty, 5)
+        with pytest.raises(ValueError, match="K must be positive"):
+            patched_binned(empty, 0)
 
 
 class TestEffectiveMask:
@@ -357,7 +354,6 @@ class TestEffectiveMask:
             x=np.zeros(4),
             sizes=[4],
             intervals=np.array([[0.0, 0.4]]),
-            grid_type="common",
             grid=grid,
             columns=np.arange(4),
         )

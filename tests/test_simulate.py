@@ -52,8 +52,6 @@ class TestFragmentLaw:
             FragmentLaw(0.0, 0.5)
         with pytest.raises(ValueError):
             FragmentLaw(0.7, 0.5)
-        with pytest.raises(ValueError):
-            FragmentLaw(0.3, 0.5, placement="somewhere")
 
     def test_lengths_within_bounds(self):
         law = FragmentLaw(0.4, 0.6)
@@ -66,11 +64,6 @@ class TestFragmentLaw:
         iv = law.draw(2000, np.random.default_rng(1))
         # boundary-hugging atoms: a positive fraction starts exactly at 0
         assert (iv[:, 0] == 0.0).mean() > 0.1
-
-    def test_uniform_placement(self):
-        law = FragmentLaw.fixed(0.5, placement="uniform")
-        iv = law.draw(2000, np.random.default_rng(1))
-        assert (iv[:, 0] == 0.0).mean() == 0.0
 
 
 class TestFragmentCommon:
@@ -102,6 +95,10 @@ class TestFragmentCommon:
             assert np.array_equal(ta, tb)
         assert np.array_equal(a.intervals, b.intervals)
 
+    def test_values_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="value columns must match the grid resolution"):
+            fragment(np.zeros((5, 9)), Grid.perturbed(10, seed=0), FragmentLaw.fixed(0.6), seed=1)
+
 
 class TestFragmentIrregular:
     def test_type1_quota(self):
@@ -132,6 +129,10 @@ class TestFragmentIrregular:
     def test_bad_grid_type(self):
         with pytest.raises(ValueError):
             fragment_irregular(scenario_kernel("A", 1), 5, FragmentLaw.fixed(0.5), "type3", 50, seed=0)
+        # each stage draws from its own child of the seed, which a Generator cannot give
+        with pytest.raises(TypeError, match="needs an int or SeedSequence seed"):
+            fragment_irregular(scenario_kernel("A", 1), 5, FragmentLaw.fixed(0.5), "type2", 50,
+                               seed=np.random.default_rng(0))
 
     def test_deterministic(self):
         kern = scenario_kernel("A", 2)
@@ -171,10 +172,12 @@ class TestType2BatchedParity:
         "law",
         [
             FragmentLaw(0.4, 0.6),
-            FragmentLaw(0.3, 0.7, "uniform"),
+            FragmentLaw(0.3, 0.8),
             FragmentLaw.fixed(0.5),  # every curve has the same quota
-            FragmentLaw.fixed(0.45, "uniform"),
+            FragmentLaw.fixed(0.35),
         ],
+        # every law clips its intervals into [0, 1]; the second word of an id
+        # only tells two length ranges apart
         ids=["variable-clipped", "variable-uniform", "fixed-clipped", "fixed-uniform"],
     )
     def test_same_draws_as_per_curve_loop(self, kernel, law):
@@ -300,10 +303,9 @@ class TestFragmentSample:
 
     @pytest.mark.parametrize(
         "changes, message",
-        [(dict(grid_type="typo"), "unknown grid type 'typo'"),
-         (dict(noise_sd=-1.0), "noise_sd must be nonnegative, got -1.0"),
+        [(dict(noise_sd=-1.0), "noise_sd must be nonnegative, got -1.0"),
          (dict(noise_sd=float("nan")), "noise_sd must be nonnegative, got nan")],
-        ids=["grid-type", "negative-noise", "nan-noise"],
+        ids=["negative-noise", "nan-noise"],
     )
     def test_grid_type_and_noise_must_be_valid(self, changes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -316,3 +318,5 @@ def test_stage_rng_disjoint_streams():
     b = stage_rng(seed, STAGE_NOISE).standard_normal(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, stage_rng(np.random.SeedSequence(5), STAGE_PATHS).standard_normal(4))
+    with pytest.raises(TypeError, match="stage_rng needs an int or SeedSequence, not a Generator"):
+        stage_rng(np.random.default_rng(5), STAGE_PATHS)
