@@ -12,8 +12,8 @@ import numpy as np
 
 from . import harness
 from .complete import CompletionError, CovarianceEstimate, SolveConfig, estimate_covariance, parse_rank_policy, rank_sweep
-from .core import SymMatrix
-from .harness import ExperimentConfig, _draw_sample, _json_field, _json_object, ingest_fragments
+from .core import SymMatrix, _json_field, _json_object
+from .harness import ExperimentConfig, _draw_sample, ingest_fragments
 from .kernels import kernel_from_id
 from .patch import PatchedCovariance, effective_mask, patched_binned
 from .simulate import FragmentLaw, write_fragments

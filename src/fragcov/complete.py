@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BandMask, SeedLike, SymMatrix, _check_int_fields, _eigen_root, as_generator, matrix_values
+from .core import BandMask, SeedLike, SymMatrix, _check_fields, _eigen_root, as_generator, matrix_values
 
 __all__ = [
     "CompletionError",
@@ -67,8 +67,8 @@ class SolveConfig:
     protocol, a dense BFGS loop (_bfgs: scipy's line search and stopping
     rules, the inverse Hessian updated in place with symmetric level-2 BLAS)
     to 100 iterations and 1e-8.
-    Any other method, a rank_policy that parse_rank_policy rejects, a
-    max_rank_sweep or seed that is no integer, max_rank_sweep below 1 and
+    A field of the wrong kind (core._check_fields), any other method, a
+    rank_policy that parse_rank_policy rejects, max_rank_sweep below 1 and
     seed < 0 raise ValueError when the config is built.
     """
 
@@ -78,7 +78,7 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         if self.method not in _BUDGETS:
             raise ValueError(f"unknown solve method {self.method!r}; expected one of {', '.join(_BUDGETS)}")
         parse_rank_policy(self.rank_policy)

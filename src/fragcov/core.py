@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -28,16 +29,61 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_int_fields(config) -> None:
-    """Raise ValueError naming the first field of a dataclass annotated int
-    (or int | None) that holds no integer (or None); a bool is none. A numpy
-    integer is stored as an int."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int" or f.type == "int | None" and value is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(config, f.name, int(value))
+def _is_number(v, types=(int, float, np.integer, np.floating)) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+# each kind a config field or JSON key is declared as: a test of the values it
+# takes, its name in an error and how a value is stored. A bool is no number,
+# though Python counts it an int; a numpy scalar is stored as the Python one.
+_KINDS = {
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "int": (lambda v: _is_number(v, (int, np.integer)), "an integer", int),
+    "float": (_is_number, "a number", float),
+    "bool": (lambda v: isinstance(v, bool), "true or false", bool),
+    "tuple": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_number, v)),
+              "a [min, max] pair of numbers", lambda v: tuple(map(float, v))),
+    "list": (lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v), "a list of objects", list),
+}
+
+
+def _as_kind(value, kind: str, name: str):
+    """value stored as kind (a _KINDS key; "kind | None" also takes None); a
+    value that kind does not take raises ValueError naming name."""
+    base, _, nullable = kind.partition(" | ")
+    accepts, noun, store = _KINDS[base]
+    if not (accepts(value) or nullable and value is None):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return None if value is None else store(value)
+
+
+def _check_fields(config) -> None:
+    """Store each field of a frozen dataclass as _as_kind stores the kind its
+    annotation names; a value of the wrong kind raises ValueError naming it."""
+    for f in fields(config):  # f.type is the annotation's text, as _as_kind takes it
+        object.__setattr__(config, f.name, _as_kind(getattr(config, f.name), f.type, f.name))
+
+
+def _json_object(text: str, source) -> dict:
+    """text parsed as a JSON object; malformed JSON or another JSON value
+    raises ValueError naming source."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _json_field(payload: dict, key: str, kind: str, source, *default):
+    """payload[key] as _as_kind stores kind, else default[0] if one is given;
+    a missing key or a wrong kind raises ValueError naming source and key."""
+    if key in payload:
+        return _as_kind(payload[key], kind, f"{source}: key {key!r}")
+    if default:
+        return default[0]
+    raise ValueError(f"{source}: missing key {key!r}")
 
 
 def _eigen_root(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

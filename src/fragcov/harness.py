@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, _check_int_fields, band_mask, relative_error
+from .core import Grid, _check_fields, _json_field, _json_object, band_mask, relative_error
 from .kernels import kernel_from_id, evaluate_on_grid
 from .simulate import (
     STAGE_GRID,
@@ -52,47 +52,6 @@ __all__ = [
     "TABLE_IDS",
 ]
 
-# the JSON values each kind of field takes, and how to say so (exact types:
-# json gives true and false as bool, which would pass for an int)
-_NUMBER = (int, float)
-_JSON_KINDS = {
-    "str": (lambda v: type(v) is str, "a string"),
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in _NUMBER, "a number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "tuple": (lambda v: type(v) is list and len(v) == 2 and all(type(x) in _NUMBER for x in v),
-              "a [min, max] pair of numbers"),
-    "list": (lambda v: type(v) is list and all(type(e) is dict for e in v), "a list of objects"),
-}
-
-
-def _json_object(text: str, source) -> dict:
-    """text parsed as a JSON object; malformed JSON or another JSON value
-    raises ValueError naming source."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{source}: expected a JSON object, got {type(payload).__name__}")
-    return payload
-
-
-def _json_field(payload: dict, key: str, kind: str, source, *default):
-    """payload[key], or default[0] if one is given and the key is absent. A
-    missing key, or a value that is not JSON of kind (a _JSON_KINDS key;
-    "kind | None" also takes null), raises ValueError naming source and key."""
-    if key not in payload:
-        if default:
-            return default[0]
-        raise ValueError(f"{source}: missing key {key!r}")
-    value = payload[key]
-    base, _, nullable = kind.partition(" | ")
-    accepts, noun = _JSON_KINDS[base]
-    if not (accepts(value) or (nullable and value is None)):
-        raise ValueError(f"{source}: key {key!r} must be {noun}{' or null' if nullable else ''}, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,12 +61,12 @@ class ExperimentConfig:
     with rank_policy as its rule. A common-grid cell with K None runs at
     K=50; a type1 cell is scored on its base grid, so its K must be None or
     base_resolution; a type2 cell with K None bins at a K drawn from the
-    sample. A cell that cannot run raises ValueError when it is built, with
-    the message its replications would fail with: a malformed rank_policy,
-    kernel id, delta or grid_type, an n, K, base_resolution, replications
-    or seed that is no integer, n < 2, noise_sd < 0, replications < 1,
-    seed < 0, such a type1 K, or a delta' band that is degenerate at the
-    cell's K (for such a type2 cell, at the largest K its samples can draw).
+    sample. A field of the wrong kind (core._check_fields) and a cell that
+    cannot run raise ValueError when it is built, the latter with the message
+    its replications would fail with: a malformed rank_policy, kernel id,
+    delta or grid_type, n < 2, noise_sd < 0 or not finite, replications < 1,
+    seed < 0, such a type1 K, or a delta' band degenerate at the cell's K
+    (for such a type2 cell, at the largest K its samples can draw).
     """
 
     kernel: str
@@ -123,7 +82,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_fields(self)
         parse_rank_policy(self.rank_policy)
         kernel_from_id(self.kernel)
         self.law()
@@ -131,8 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown grid type {self.grid_type!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be nonnegative and finite, got {self.noise_sd}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.seed < 0:
@@ -143,7 +102,7 @@ class ExperimentConfig:
         if K is None:
             # every curve's quota is at most ceil(base_resolution * delta[1]), and
             # a band degenerate at the largest K is degenerate at every smaller K
-            quota = math.ceil(self.base_resolution * float(self.delta[1]))
+            quota = math.ceil(self.base_resolution * self.delta[1])
             K = _binned_K(self.n * quota, self.n)
         band_mask(K, self.resolved_delta_prime())
 
@@ -158,7 +117,7 @@ class ExperimentConfig:
         return self.K
 
     def law(self) -> FragmentLaw:
-        return FragmentLaw(float(self.delta[0]), float(self.delta[1]))
+        return FragmentLaw(*self.delta)
 
     def resolved_delta_prime(self) -> float:
         """delta_prime, else the delta' rule applied to the law's length range."""
@@ -166,7 +125,7 @@ class ExperimentConfig:
             return self.delta_prime
         dp = trusted_delta_prime(self.delta)
         if dp is None:
-            raise ValueError(f"fragment lengths {self.delta} leave no trusted band")
+            raise ValueError(f"fragment lengths delta={self.delta} leave no trusted band")
         return dp
 
     def to_json(self) -> str:
@@ -175,20 +134,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str, source="ExperimentConfig JSON") -> "ExperimentConfig":
         """Inverse of to_json. Malformed JSON, a payload that is not an object,
-        a field of the wrong JSON type, a key that names no field and a cell
-        that cannot run raise ValueError naming source (the file the text came
-        from)."""
+        a key that names no field and a config the constructor rejects raise
+        ValueError naming source (the file the text came from)."""
         payload = _json_object(text, source)
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{source}: unknown {cls.__name__} keys: {', '.join(unknown)}")
-        for f in fields(cls):  # f.type is the annotation's text, as _json_field takes it
-            _json_field(payload, f.name, f.type, source, None)
-        if "delta" in payload:
-            payload["delta"] = tuple(payload["delta"])
         try:
             return cls(**payload)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # a TypeError: a field without a default is missing
             raise ValueError(f"{source}: {exc}") from None
 
 
@@ -388,12 +342,12 @@ def results_to_csv(results: list[ExperimentResult]) -> str:
                 [
                     c.kernel,
                     c.rank_policy,
-                    repr(float(c.delta[0])),
-                    repr(float(c.delta[1])),
+                    repr(c.delta[0]),
+                    repr(c.delta[1]),
                     str(c.n),
                     str(c.K if c.K is not None else r.realized_K),
                     c.grid_type,
-                    repr(float(c.noise_sd)),
+                    repr(c.noise_sd),
                     repr(float(r.median)),
                     repr(float(r.q1)),
                     repr(float(r.q3)),
@@ -493,7 +447,7 @@ def ingest_fragments(path) -> FragmentSample:
         ends = np.cumsum(sizes)
         first, last = t[ends - sizes], t[ends - 1]
         intervals = np.column_stack([first, last - first])
-    noise_sd = float(_json_field(meta, "noise_sd", "float", sidecar_path, 0.0))
+    noise_sd = _json_field(meta, "noise_sd", "float", sidecar_path, 0.0)
     try:
         return FragmentSample(
             t=t,

@@ -130,7 +130,7 @@ class FragmentSample:
         if not self.noise_sd >= 0:
             raise ValueError(f"noise_sd must be nonnegative, got {self.noise_sd}")
         lo = np.repeat(iv[:, 0], sizes)
-        outside = (t < lo - 1e-12) | (t > lo + np.repeat(iv[:, 1], sizes) + 1e-12)
+        outside = ~((t >= lo - 1e-12) & (t <= lo + np.repeat(iv[:, 1], sizes) + 1e-12))  # NaN bounds hold no t
         if outside.any():
             i = int(np.argmax(outside))
             k = int(np.searchsorted(np.cumsum(sizes), i, side="right"))

@@ -397,6 +397,13 @@ class TestMalformedInput:
         for field, value, complaint in [
             ("grid_type", "type3", "unknown grid type 'type3'"),
             ("kernel", "scenarioA:x", "kernel id 'scenarioA:x': invalid literal for int() with base 10: 'x'"),
+            # each used to be accepted, or to end in a TypeError or AttributeError naming no field
+            ("noise_sd", True, "noise_sd must be a number, got True"),
+            ("noise_sd", "0.5", "noise_sd must be a number, got '0.5'"),
+            ("noise_sd", float("nan"), "noise_sd must be nonnegative and finite, got nan"),
+            ("delta", [0.5, "0.6"], "delta must be a [min, max] pair of numbers, got [0.5, '0.6']"),
+            ("delta", [0.5, 0.6, 0.7], "delta must be a [min, max] pair of numbers, got [0.5, 0.6, 0.7]"),
+            ("kernel", 3, "kernel must be a string, got 3"),
         ]:
             cfg_path.write_text(json.dumps({"kernel": "scenarioA:1", "rank_policy": "fixed:1", field: value}))
             assert main(["run", "--config", str(cfg_path), "--reps", "2", "--out", str(tmp_path / "r.csv")]) == 2
@@ -410,14 +417,16 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {cfg_path}: unknown ExperimentConfig keys: solve\n"
 
     # each used to end in a traceback, or in a JSON parser message naming no file
-    @pytest.mark.parametrize("case", ["sidecar_truncated", "sidecar_without_start", "meta_truncated",
-                                      "meta_delta_outside", "config_list", "config_n_string",
-                                      "config_delta_number"])
+    @pytest.mark.parametrize("case", ["sidecar_truncated", "sidecar_without_start", "sidecar_nan_delta",
+                                      "meta_truncated", "meta_delta_outside", "config_list", "config_n_string",
+                                      "config_delta_number", "config_without_kernel"])
     def test_malformed_json_names_the_file(self, pipeline_files, tmp_path, capsys, case):
         sample, patched, counts = pipeline_files
         sidecar, meta, config = sample.with_suffix(".json"), patched.with_suffix(".json"), tmp_path / "cfg.json"
         no_start = json.loads(sidecar.read_text())
         del no_start["intervals"][0]["start"]
+        nan_delta = json.loads(sidecar.read_text())
+        nan_delta["intervals"][0]["delta"] = float("nan")  # json writes NaN, and reads it back
         cell = json.loads(ExperimentConfig(kernel="scenarioA:1", n=40, K=15, rank_policy="fixed:1").to_json())
         patch = ["patch", "--input", str(sample), "--out", str(tmp_path / "p.csv"),
                  "--counts-out", str(tmp_path / "c.csv")]
@@ -426,13 +435,17 @@ class TestMalformedInput:
         path, text, argv, complaint = {
             "sidecar_truncated": (sidecar, sidecar.read_text()[:8], patch, "Unterminated string"),
             "sidecar_without_start": (sidecar, json.dumps(no_start), patch, "curve '0': missing key 'start'"),
+            # NaN failed both containment comparisons, and patch wrote "delta_effective": NaN
+            "sidecar_nan_delta": (sidecar, json.dumps(nan_delta), patch, "curve '0': t="),
             "meta_truncated": (meta, meta.read_text()[:16], complete, "Unterminated string"),
             "meta_delta_outside": (meta, json.dumps({**json.loads(meta.read_text()), "delta_effective": 1.5}),
                                    complete, "key 'delta_effective' must lie in (0, 1), got 1.5"),
             "config_list": (config, json.dumps([cell]), run, "expected a JSON object, got list"),
-            "config_n_string": (config, json.dumps({**cell, "n": "x"}), run, "key 'n' must be an integer, got 'x'"),
+            "config_n_string": (config, json.dumps({**cell, "n": "x"}), run, "n must be an integer, got 'x'"),
             "config_delta_number": (config, json.dumps({**cell, "delta": 0.5}), run,
-                                    "key 'delta' must be a [min, max] pair of numbers, got 0.5"),
+                                    "delta must be a [min, max] pair of numbers, got 0.5"),
+            "config_without_kernel": (config, json.dumps({k: v for k, v in cell.items() if k != "kernel"}), run,
+                                      "ExperimentConfig.__init__() missing 1 required positional argument: 'kernel'"),
         }[case]
         path.write_text(text)
         assert main(argv) == 2

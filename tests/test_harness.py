@@ -261,6 +261,8 @@ class TestCellChecks:
         ("n", 0, "n must be at least 2, got 0"),
         ("n", 1, "n must be at least 2, got 1"),
         ("noise_sd", -1.0, "noise_sd must be nonnegative"),
+        ("noise_sd", float("nan"), "noise_sd must be nonnegative and finite, got nan"),
+        ("noise_sd", float("inf"), "noise_sd must be nonnegative and finite, got inf"),
         ("seed", -1, "seed must be nonnegative, got -1"),
         ("kernel", "scenarioA:x", "kernel id 'scenarioA:x': invalid literal for int"),
     ])
@@ -291,6 +293,43 @@ class TestCellChecks:
             cls(**{**base, field: bad})
         built = getattr(cls(**{**base, field: np.int64(good)}), field)
         assert built == good and type(built) is int
+
+    # every field, drawn from its own values and from every other kind: building
+    # either rejects the value naming the field (or, for a compound name, its
+    # first word: "unknown grid type", "rank policy", "delta must lie in"), or
+    # gives a config that to_json writes and from_json reads back unchanged
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_field_is_rejected_by_name_or_round_trips(self, data):
+        base = dict(kernel="scenarioA:1", n=40, K=None, base_resolution=30, delta=(0.6, 0.6),
+                    rank_policy="fixed:1", replications=2, seed=3)
+        numbers = st.integers(-3, 60) | st.floats() | st.floats(0.0, 1.0)
+        own = {
+            "kernel": st.sampled_from(["scenarioA:2", "scenarioB:1", "matern:1.5,0.5,1.0", "nope:1", "scenarioA:x"]),
+            "n": st.integers(-2, 300),
+            "K": st.none() | st.integers(-2, 120),
+            "base_resolution": st.integers(-2, 120),
+            "delta": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            "grid_type": st.sampled_from(harness.GRID_TYPES + ("type3",)),
+            "noise_sd": st.floats(-1.0, 2.0) | st.sampled_from([float("nan"), float("inf")]),
+            "delta_prime": st.none() | st.floats(0.0, 1.2),
+            "rank_policy": st.sampled_from(["fixed:1", "elbow", "elbow:0.02", "penalty:0.1", "fixed:x", "elbow:0"]),
+            "replications": st.integers(-1, 5),
+            "seed": st.integers(-1, 2**40),
+        }
+        field = data.draw(st.sampled_from(sorted(own)))
+        scalar = own[field] | numbers | st.booleans() | st.none() | st.text("xyz0.:", max_size=5)
+        numpy_scalar = (st.integers(-3, 300).map(np.int64) | st.floats(width=32).map(np.float32)
+                        | st.floats(0.0, 1.0).map(np.float64) | st.booleans().map(np.bool_))
+        pairs = st.lists(numbers | numpy_scalar, min_size=2, max_size=3)
+        value = data.draw(scalar | numpy_scalar | pairs | pairs.map(tuple)
+                          | st.lists(st.dictionaries(st.text(max_size=2), numbers)))
+        try:
+            cfg = ExperimentConfig(**{**base, field: value})
+        except ValueError as exc:
+            assert field.split("_")[0] in str(exc)
+            return
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     # the delta' band is checked at the K each grid type runs at, where it is known
     def test_band_checked_at_the_grid_K(self):

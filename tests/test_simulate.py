@@ -176,9 +176,8 @@ class TestType2BatchedParity:
             FragmentLaw.fixed(0.5),  # every curve has the same quota
             FragmentLaw.fixed(0.35),
         ],
-        # every law clips its intervals into [0, 1]; the second word of an id
-        # only tells two length ranges apart
-        ids=["variable-clipped", "variable-uniform", "fixed-clipped", "fixed-uniform"],
+        # every law clips its intervals into [0, 1]
+        ids=["variable-clipped", "variable-0.3-0.8", "fixed-clipped", "fixed-0.35"],
     )
     def test_same_draws_as_per_curve_loop(self, kernel, law):
         kern = kernel_from_id(kernel)
@@ -294,8 +293,11 @@ class TestFragmentSample:
         [(dict(intervals=[[0.2, 0.3], [0.6, 0.3]]), "curve 0: t=0.125 outside its interval (start 0.2, delta 0.3)"),
          (dict(intervals=[[0.1, 0.2], [0.6, 0.3]]), "curve 0: t=0.375 outside its interval (start 0.1, delta 0.2)"),
          (dict(sizes=[1, 3], intervals=[[0.1, 0.6], [0.6, 0.3]]),
-          "curve 1: t=0.375 outside its interval (start 0.6, delta 0.3)")],
-        ids=["before-start", "after-end", "other-curve"],
+          "curve 1: t=0.375 outside its interval (start 0.6, delta 0.3)"),
+         # NaN fails both comparisons of a test for "outside", so the test is for "not inside"
+         (dict(intervals=[[0.1, 0.3], [0.6, float("nan")]]),
+          "curve 1: t=0.625 outside its interval (start 0.6, delta nan)")],
+        ids=["before-start", "after-end", "other-curve", "nan-delta"],
     )
     def test_time_outside_its_interval(self, changes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -307,7 +309,7 @@ class TestFragmentSample:
          (dict(noise_sd=float("nan")), "noise_sd must be nonnegative, got nan")],
         ids=["negative-noise", "nan-noise"],
     )
-    def test_grid_type_and_noise_must_be_valid(self, changes, message):
+    def test_noise_must_be_valid(self, changes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self._sample(**changes)
 
