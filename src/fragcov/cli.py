@@ -15,7 +15,7 @@ from .complete import CompletionError, CovarianceEstimate, SolveConfig, estimate
 from .core import SymMatrix, _json_field, _json_object
 from .harness import ExperimentConfig, _draw_sample, ingest_fragments
 from .kernels import kernel_from_id
-from .patch import PatchedCovariance, effective_mask, patched_binned
+from .patch import PatchedCovariance, UnsupportedEntry, effective_mask, patched_binned
 from .simulate import FragmentLaw, write_fragments
 from .simulate import fragment_irregular  # noqa: F401 - not called here; perfbench/spans.py patches it by name
 
@@ -131,7 +131,10 @@ def _cmd_complete(args) -> int:
         rank_policy = f"fixed:{rank_policy}"
     cfg = SolveConfig(max_rank_sweep=args.max_rank, rank_policy=rank_policy, seed=args.seed)
     patched = _load_patched(args)
-    mask = effective_mask(patched)
+    try:
+        mask = effective_mask(patched)
+    except UnsupportedEntry as exc:  # only counts can say an entry is unobserved
+        raise ValueError(f"{args.counts}: {exc}") from None
     # the scree covers every rank to --max-rank; under elbow or penalty the
     # estimate's lazy sweep is a prefix of it, so select from the scree's sweep
     scree = rank_sweep(patched, mask, cfg) if args.scree_out else None

@@ -161,12 +161,10 @@ class BandMask:
         return int(np.floor(self.K * self.delta)) - 1
 
 
-def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
-    """Band inclusion mask: entry (j, l) selected iff |j - l| < floor(K*delta) - 1.
-
-    With ``exclude_diagonal`` the diagonal is dropped as well (used when the
-    diagonal of an empirical matrix is corrupted by measurement noise).
-    """
+def _band_width(K: int, delta: float) -> int:
+    """floor(K*delta) - 1, the width of the band band_mask(K, delta) builds;
+    raises ValueError where band_mask would: K < 2, delta outside (0, 1) or a
+    band that selects nothing."""
     if K < 2:
         raise ValueError("K must be at least 2")
     if not 0.0 < delta < 1.0:
@@ -174,6 +172,16 @@ def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
     width = int(np.floor(K * delta)) - 1
     if width <= 0:
         raise ValueError(f"band degenerate: floor(K*delta) - 1 = {width} selects nothing")
+    return width
+
+
+def band_mask(K: int, delta: float, exclude_diagonal: bool = False) -> BandMask:
+    """Band inclusion mask: entry (j, l) selected iff |j - l| < floor(K*delta) - 1.
+
+    With ``exclude_diagonal`` the diagonal is dropped as well (used when the
+    diagonal of an empirical matrix is corrupted by measurement noise).
+    """
+    width = _band_width(K, delta)
     offsets = np.abs(np.subtract.outer(np.arange(K), np.arange(K)))
     include = offsets < width
     if exclude_diagonal:

@@ -8,6 +8,7 @@ scheduling cannot change any result.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, _check_fields, _json_field, _json_object, band_mask, relative_error
+from .core import Grid, _band_width, _check_fields, _json_field, _json_object, band_mask, relative_error
 from .kernels import kernel_from_id, evaluate_on_grid
 from .simulate import (
     STAGE_GRID,
@@ -104,7 +105,7 @@ class ExperimentConfig:
             # a band degenerate at the largest K is degenerate at every smaller K
             quota = math.ceil(self.base_resolution * self.delta[1])
             K = _binned_K(self.n * quota, self.n)
-        band_mask(K, self.resolved_delta_prime())
+        _band_width(K, self.resolved_delta_prime())
 
     def _fixed_K(self) -> int | None:
         """The bin count where it is known before sampling: K, or 50 on a
@@ -239,8 +240,10 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, int]:
     patched = patched_regular(sample) if common else patched_binned(sample, K)
 
     # The solver mask is the delta' band itself, not intersected with the
-    # data support: corner pairs can be unobserved under random grids and
-    # uniform starts, and the zero-filled target handles them.
+    # data support: a band entry that no curve observed (a pair of grid points
+    # or bins that no fragment holds both of, which a small n or random type-2
+    # times allow) is fitted as the zero it holds in the patched matrix, where
+    # effective_mask would reject it.
     mask = band_mask(K, config.resolved_delta_prime(), exclude_diagonal=patched.noise_flag)
     solve = SolveConfig(method="bfgs", rank_policy=config.rank_policy)
     estimate = estimate_covariance(patched, solve, mask=mask, rng=stage_rng(rep_seed, STAGE_SOLVER))
@@ -374,6 +377,65 @@ def format_table(results: list[ExperimentResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# fragment CSV lines parsed per step: the reader holds flat arrays of what it
+# has read, plus one block of lines as Python strings
+_READ_BLOCK = 8192
+
+
+def _parse_rows(rows: list, first_lineno: int, numbers: dict, path):
+    """Parse a block of stripped fragment CSV lines (blank ones skipped) into
+    arrays of curve numbers (numbers maps each curve_id to its number, in order
+    of first appearance, and gains the new ones), t, value and line number.
+    Parsing stops at the first malformed row, t outside [0, 1] or non-finite
+    value; returns the arrays of the rows before it and its path:line message,
+    or None."""
+    linenos = first_lineno + np.flatnonzero(np.fromiter(map(bool, rows), bool, len(rows)))
+    rows = list(filter(None, rows))
+    k = _first(np.fromiter(map(str.count, rows, itertools.repeat(",")), np.intp, len(rows)) != 2)
+    fields = ",".join(rows[:k]).split(",") if k else []
+    cids, t_strs, v_strs = fields[0::3], fields[1::3], fields[2::3]
+    try:
+        t, v = _floats(t_strs), _floats(v_strs)
+    except ValueError:  # stop at the first row whose t or value is no number
+        k = next(i for i in range(k) if not (_parses(t_strs[i]) and _parses(v_strs[i])))
+        t, v = _floats(t_strs[:k]), _floats(v_strs[:k])
+    bad = None if k == len(rows) else f"{path}:{linenos[k]}: malformed row {rows[k]!r}"
+    out_of_range = ~((t >= 0.0) & (t <= 1.0))  # a NaN t is out of range
+    j = _first(out_of_range | ~np.isfinite(v))
+    if j < k:
+        k = j
+        bad = (f"{path}:{linenos[k]}: t={float(t[k])} outside [0, 1]" if out_of_range[k]
+               else f"{path}:{linenos[k]}: non-finite value {v_strs[k]!r}")
+    for cid in dict.fromkeys(cids[:k]):
+        numbers.setdefault(cid, len(numbers))
+    curve = np.fromiter(map(numbers.__getitem__, cids[:k]), np.intp, k)
+    return (curve, t[:k], v[:k], linenos[:k]), bad
+
+
+def _first(flags: np.ndarray) -> int:
+    """The index of the first True in flags, or its length if none is."""
+    return int(np.argmax(flags)) if flags.any() else flags.size
+
+
+def _floats(texts: list) -> np.ndarray:
+    return np.fromiter(map(float, texts), float, len(texts))
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The concatenation of parts, which are dropped from the list."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
 def ingest_fragments(path) -> FragmentSample:
     """Read a fragment CSV (header curve_id,t,value) into a FragmentSample.
 
@@ -381,60 +443,64 @@ def ingest_fragments(path) -> FragmentSample:
     noise_sd and intervals, matched by curve_id if every interval has a
     distinct one, else one per curve in order of first appearance (any
     other list is rejected); with none, each is inferred as [min t, max t].
-    Curves with fewer than two points are dropped with a warning. A row with
-    t outside [0, 1], a non-finite value or a t repeated within its curve is
-    rejected with its path:line. A sidecar FragmentSample rejects (an
-    interval that does not hold its curve's times, a negative noise_sd) is
-    reported with the sidecar's path.
+    Curves with fewer than two points are dropped with a warning. The first
+    malformed row, row with t outside [0, 1], non-finite value or t repeated
+    within its curve is rejected with its path:line. A sidecar FragmentSample
+    rejects (an interval that does not hold its curve's times, a negative
+    noise_sd) is reported with the sidecar's path. The file is read
+    _READ_BLOCK lines at a time.
     """
     path = Path(path)
-    by_curve: dict[str, dict[float, float]] = {}
+    numbers: dict[str, int] = {}
+    # curve numbers, t, values and line numbers, one array per block after an
+    # empty one, so that a file without rows joins too
+    columns = ([np.empty(0, np.intp)], [np.empty(0)], [np.empty(0)], [np.empty(0, np.intp)])
+    bad = None
     with path.open() as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "curve_id,t,value":
             raise ValueError(f"{path}: expected header 'curve_id,t,value', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-            cid, t_str, v_str = parts
-            try:
-                t, v = float(t_str), float(v_str)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{path}:{lineno}: t={t} outside [0, 1]")
-            if not math.isfinite(v):
-                raise ValueError(f"{path}:{lineno}: non-finite value {v_str!r}")
-            rows = by_curve.setdefault(cid, {})
-            if t in rows:
-                raise ValueError(f"{path}:{lineno}: curve {cid!r} repeats t={t}")
-            rows[t] = v
+        lineno = 2
+        while bad is None and (rows := list(map(str.strip, itertools.islice(fh, _READ_BLOCK)))):
+            block, bad = _parse_rows(rows, lineno, numbers, path)
+            for parts, part in zip(columns, block):
+                parts.append(part)
+            lineno += len(rows)
+    curve, t, x, linenos = map(_joined, columns)
+
+    # curves in order of first appearance, each one's rows by time (a stable
+    # sort: a repeated t follows the rows of its curve that it repeats)
+    order = np.lexsort((t, curve))
+    curve = curve[order]  # one column at a time: each copy is freed before the next
+    t = t[order]
+    x = x[order]
+    repeats = np.flatnonzero((t[1:] == t[:-1]) & (curve[1:] == curve[:-1])) + 1
+    all_ids = list(numbers)
+    if repeats.size:
+        j = repeats[np.argmin(order[repeats])]  # the repeat that comes first in the file
+        raise ValueError(f"{path}:{linenos[order[j]]}: curve {all_ids[curve[j]]!r} repeats t={float(t[j])}")
+    if bad is not None:
+        raise ValueError(bad)
+    del order, linenos  # freed before the sample's own checks run
 
     sidecar_path = path.with_suffix(".json")
     meta = _json_object(sidecar_path.read_text(), sidecar_path) if sidecar_path.exists() else {}
 
-    ids, sizes, times, values = [], [], [], []
-    for cid, rows in by_curve.items():
-        if len(rows) < 2:
-            warnings.warn(f"curve {cid!r} has fewer than 2 points; dropped")
-            continue
-        ts = sorted(rows)
-        ids.append(cid)
-        sizes.append(len(ts))
-        times.extend(ts)
-        values.extend(rows[t] for t in ts)
-    t, sizes = np.array(times, dtype=float), np.array(sizes, dtype=np.intp)
+    sizes = np.bincount(curve, minlength=len(all_ids))
+    for c in np.flatnonzero(sizes < 2):
+        warnings.warn(f"curve {all_ids[c]!r} has fewer than 2 points; dropped")
+    ids = [all_ids[c] for c in np.flatnonzero(sizes >= 2)]
+    kept = sizes[curve] >= 2
+    t = t[kept]
+    x = x[kept]
+    sizes = sizes[sizes >= 2]
 
     entries = _json_field(meta, "intervals", "list", sidecar_path, [])
     labels = [str(e["curve_id"]) for e in entries if "curve_id" in e]
-    by_id = dict(zip(labels or by_curve, entries))
-    if entries and (len(by_id) < len(entries) or not labels and len(entries) != len(by_curve)):
+    by_id = dict(zip(labels or all_ids, entries))
+    if entries and (len(by_id) < len(entries) or not labels and len(entries) != len(all_ids)):
         raise ValueError(f"{sidecar_path}: intervals must all carry distinct curve_ids, or none and number "
-                         f"one per curve ({len(entries)} for {len(by_curve)} curves)")
+                         f"one per curve ({len(entries)} for {len(all_ids)} curves)")
     if by_id:
         missing = [cid for cid in ids if cid not in by_id]
         if missing:
@@ -451,7 +517,7 @@ def ingest_fragments(path) -> FragmentSample:
     try:
         return FragmentSample(
             t=t,
-            x=np.array(values, dtype=float),
+            x=x,
             sizes=sizes,
             intervals=intervals,
             noise_sd=noise_sd,

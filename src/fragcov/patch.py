@@ -122,15 +122,23 @@ def patched_binned(sample: FragmentSample, K: int) -> PatchedCovariance:
     return patched
 
 
+class UnsupportedEntry(ValueError):
+    """A band entry that no curve observed, which effective_mask rejects."""
+
+
 def effective_mask(patched: PatchedCovariance) -> BandMask:
     """Band mask on which the patched estimator is trusted: the band of
     width patched.delta_effective, without the diagonal when the sample was
-    noisy. Raises if the mask would select an entry observed by no curve.
+    noisy. Raises UnsupportedEntry, naming the first entry (j, l) in row-major
+    order, if the mask would select an entry observed by no curve.
     """
     delta_prime = patched.delta_effective
     if delta_prime is None or not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must lie in (0, 1)")
     mask = band_mask(patched.K, delta_prime, exclude_diagonal=patched.noise_flag)
-    if patched.counts is not None and np.any(mask.include & (patched.counts == 0)):
-        raise ValueError("mask exceeds data support: selected entry has zero count")
+    if patched.counts is not None:
+        unseen = np.argwhere(mask.include & (patched.counts == 0))
+        if unseen.size:
+            raise UnsupportedEntry(f"mask exceeds data support: selected entry ({unseen[0, 0]}, {unseen[0, 1]}) "
+                                   "has zero count")
     return mask

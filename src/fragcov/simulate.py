@@ -30,6 +30,11 @@ __all__ = [
 
 GRID_TYPES = ("common", "type1", "type2")
 
+# Type-2 curves of one quota drawn per stacked eigendecomposition, and CSV rows
+# formatted per write: both bound the memory a large sample takes.
+_DRAW_BLOCK = 256
+_WRITE_BLOCK = 8192
+
 # Fixed spawn order of per-replication child streams, so that toggling one
 # stage (e.g. noise) cannot perturb the draws of the others.
 STAGE_PATHS, STAGE_INTERVALS, STAGE_GRID, STAGE_TIMES, STAGE_NOISE, STAGE_SOLVER = range(6)
@@ -256,17 +261,20 @@ def fragment_irregular(
 
     # Curve i takes draws offsets[i]:offsets[i + 1] of one uniform and one
     # normal stream, in curve order, the same draws a per-curve loop makes.
-    # Curves of equal quota share one stacked eigendecomposition.
+    # Curves of equal quota share one stacked eigendecomposition, _DRAW_BLOCK
+    # curves at a time; each curve's values do not depend on its block.
     starts = law.place(deltas, rng_intervals)
     offsets = np.concatenate([[0], np.cumsum(quotas)])
     t_flat = rng_times.uniform(np.repeat(starts, quotas), np.repeat(starts + deltas, quotas))
     z_flat = rng_paths.standard_normal(offsets[-1])
     v_flat = np.empty_like(z_flat)
     for q in np.unique(quotas):
-        rows = offsets[:-1][quotas == q, None] + np.arange(q)
-        t = np.sort(t_flat[rows], axis=1)
-        t_flat[rows] = t
-        v_flat[rows] = _sample_curve_values(kernel, t, z_flat[rows])
+        firsts = offsets[:-1][quotas == q]
+        for lo in range(0, firsts.size, _DRAW_BLOCK):
+            rows = firsts[lo : lo + _DRAW_BLOCK, None] + np.arange(q)
+            t = np.sort(t_flat[rows], axis=1)
+            t_flat[rows] = t
+            v_flat[rows] = _sample_curve_values(kernel, t, z_flat[rows])
     return FragmentSample(
         t=t_flat,
         x=v_flat,
@@ -287,12 +295,16 @@ def add_noise(sample: FragmentSample, noise_sd: float, seed: SeedLike = None) ->
 
 def write_fragments(sample: FragmentSample, path) -> None:
     """Write a sample as CSV rows curve_id,t,value plus a JSON sidecar whose
-    intervals carry the curve_id of the rows they belong to."""
+    intervals carry the curve_id of the rows they belong to. Rows are
+    formatted and written _WRITE_BLOCK at a time."""
     path = Path(path)
     ids = np.repeat(np.array(sample.curve_ids, dtype=object), sample.sizes)
-    rows = (f"{cid},{t!r},{v!r}" for cid, t, v in zip(ids, sample.t.tolist(), sample.x.tolist()))
-    lines = ["curve_id,t,value", *rows]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("curve_id,t,value\n")
+        for lo in range(0, ids.size, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            fh.write("".join(f"{cid},{t!r},{v!r}\n"
+                             for cid, t, v in zip(ids[block], sample.t[block].tolist(), sample.x[block].tolist())))
     sidecar = {
         "noise_sd": sample.noise_sd,
         "intervals": [

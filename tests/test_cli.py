@@ -287,6 +287,17 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: --delta-prime must lie in (0, 1), got {shown}\n"
         assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
 
+    # the band of delta' 0.99 reaches entries that no type1 fragment of length
+    # 0.6 holds both ends of; the message names the counts file and the entry
+    def test_band_beyond_the_counts_exits_2(self, pipeline_files, tmp_path, capsys):
+        _, patched, counts = pipeline_files
+        status = main(["complete", "--input", str(patched), "--counts", str(counts), "--delta-prime", "0.99",
+                       "--rank", "2", "--out", str(tmp_path / "o.csv")])
+        assert status == 2
+        assert capsys.readouterr().err == (f"error: {counts}: mask exceeds data support: "
+                                           "selected entry (0, 15) has zero count\n")
+        assert not (tmp_path / "o.csv").exists()
+
     # rejected when the config is built, before any input is read or output written
     @pytest.mark.parametrize("argv, message", [
         (["complete", "--input", "absent.csv", "--max-rank", "0", "--out", "o.csv"],

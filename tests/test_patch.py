@@ -19,7 +19,7 @@ from fragcov import (
     scenario_kernel,
 )
 from fragcov.core import as_generator
-from fragcov.patch import _pairwise_completed
+from fragcov.patch import UnsupportedEntry, _pairwise_completed
 from fragcov.simulate import FragmentSample, add_noise
 
 
@@ -358,7 +358,8 @@ class TestEffectiveMask:
             columns=np.arange(4),
         )
         patched = patched_regular(one)
-        with pytest.raises(ValueError, match="mask exceeds data support"):
+        # the band |j - l| < 8 reaches (0, 4), which no curve observes
+        with pytest.raises(UnsupportedEntry, match=r"^mask exceeds data support: selected entry \(0, 4\) has zero count$"):
             effective_mask(replace(patched, delta_effective=0.9))
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from fragcov import (
     scenario_kernel,
     write_fragments,
 )
+from fragcov import simulate
 from fragcov.simulate import STAGE_INTERVALS, STAGE_NOISE, STAGE_PATHS, STAGE_TIMES, FragmentSample, stage_rng
 
 DATA = Path(__file__).parent / "data"
@@ -192,6 +195,28 @@ class TestType2BatchedParity:
         # quotas ceil(4 * delta) range over 1..3: some curves, not all, are too sparse
         with pytest.raises(ValueError, match="fragment too sparse"):
             fragment_irregular(scenario_kernel("A", 1), 50, FragmentLaw(0.2, 0.6), "type2", 4, seed=0)
+
+    # 700 curves of one quota span three stacked blocks; the digest was
+    # recorded when every curve of a quota shared one eigendecomposition
+    def test_blocks_of_one_quota_pinned(self):
+        sample = fragment_irregular(kernel_from_id("scenarioA:3"), 700, FragmentLaw.fixed(0.5), "type2", 20, seed=3)
+        assert set(sample.sizes) == {10} and sample.n > 2 * simulate._DRAW_BLOCK
+        digest = hashlib.sha256()
+        for a in (sample.t, sample.x, sample.sizes.astype(np.int64), sample.intervals):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == "185ef95284059b1fed7c0c985b51bc4906e902a65ed1a1b3ce4e26bfb5b017ef"
+
+
+def test_write_fragments_in_blocks_matches_one_string(tmp_path):
+    sample = fragment_irregular(kernel_from_id("scenarioA:2"), 800, FragmentLaw(0.4, 0.6), "type2", 50, seed=1)
+    assert sample.t.size > 2 * simulate._WRITE_BLOCK
+    sample = replace(sample, curve_ids=tuple(f"curve-{i}" for i in range(sample.n)))
+    write_fragments(sample, tmp_path / "s.csv")
+    ids = np.repeat(sample.curve_ids, sample.sizes).tolist()
+    expected = "curve_id,t,value\n" + "".join(f"{c},{t!r},{v!r}\n" for c, t, v in
+                                               zip(ids, sample.t.tolist(), sample.x.tolist()))
+    # compared line by line: a failure then names the first line that differs
+    assert (tmp_path / "s.csv").read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_write_fragments_bytes_pinned(tmp_path):
